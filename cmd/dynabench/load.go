@@ -23,7 +23,7 @@ type LoadSection struct {
 	NodesPerGroup int                        `json:"nodes_per_group"`
 	Conns         int                        `json:"conns"`
 	Rate          float64                    `json:"target_rate"`
-	BatchWindowUs float64                    `json:"batch_window_us"` // 0 = group commit off
+	GroupCommit   bool                       `json:"group_commit"` // -batch-window > 0
 	Stages        []loadharness.StageResult  `json:"stages"`
 	Peak          loadharness.StageResult    `json:"peak"`
 	SimP99Ms      float64                    `json:"sim_p99_ms,omitempty"`
@@ -58,7 +58,7 @@ func loadCmd(args []string) {
 		cmpDur     = fs.Duration("compare-dur", 5*time.Second, "comparison window")
 		sim        = fs.Bool("sim", true, "run the simulator prediction for the same shape")
 		jsonPath   = fs.String("json", "", "merge a `load` section into this BENCH.json")
-		batchWin   = fs.Duration("batch-window", 200*time.Microsecond, "server-side group-commit window for the in-process fleet (0 disables batching)")
+		batchWin   = fs.Duration("batch-window", 200*time.Microsecond, "server-side group commit for the in-process fleet: any value > 0 turns it on, 0 disables it. The value is only a switch. Load sets the batch size: an idle leader proposes at once, a busy one holds the forming batch until its previous entry commits. A fixed window would cost about 1 ms, because Go sleeps sub-millisecond timers in epoll_wait with a 1 ms timeout")
 		pprofPath  = fs.String("pprof", "", "write a CPU profile covering the peak stage to this path")
 		pinCores   = fs.Bool("pin-cores", true, "pin sharded load workers to distinct CPUs (skipped on a single-core host)")
 		groupCmt   = fs.Bool("group-commit", false, "run the batched-vs-per-request group-commit comparison (boots its own fleets)")
@@ -70,19 +70,19 @@ func loadCmd(args []string) {
 
 	sec := LoadSection{
 		Groups: *groups, NodesPerGroup: *nodes, Conns: *conns, Rate: *rate,
-		BatchWindowUs: float64(*batchWin) / float64(time.Microsecond),
+		GroupCommit: *batchWin > 0,
 	}
 
 	binAddr, httpAddr := *front, ""
 	var fleetBins [][]string
 	var fleet *loadharness.Fleet
 	if binAddr == "" {
-		fmt.Printf("booting %d×%d loopback fleet (batch window %v)...\n", *groups, *nodes, *batchWin)
+		fmt.Printf("booting %d×%d loopback fleet (group commit %v)...\n", *groups, *nodes, sec.GroupCommit)
 		var err error
 		fleet, err = loadharness.StartFleet(loadharness.FleetConfig{
 			Groups: *groups, NodesPerGroup: *nodes,
 			Tuner:       func() raft.Tuner { return raft.NewStaticTuner(*fleetET, *fleetET/10) },
-			BatchWindow: *batchWin,
+			GroupCommit: sec.GroupCommit,
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "load: %v\n", err)
@@ -176,12 +176,11 @@ func loadCmd(args []string) {
 		}
 		fmt.Printf("group-commit comparison: batched vs per-request at %d conns × depth %d...\n", *gcConns, *gcDepth)
 		gcRes, err = loadharness.RunGroupCommitCompare(loadharness.GroupCommitOptions{
-			Conns:       *gcConns,
-			Depth:       *gcDepth,
-			Duration:    *gcDur,
-			Keys:        *keys,
-			BatchWindow: *batchWin,
-			Progress:    func(line string) { fmt.Println("  " + line) },
+			Conns:    *gcConns,
+			Depth:    *gcDepth,
+			Duration: *gcDur,
+			Keys:     *keys,
+			Progress: func(line string) { fmt.Println("  " + line) },
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "load: group commit: %v\n", err)

@@ -31,9 +31,6 @@ type GroupCommitOptions struct {
 	// WriteFrac defaults to 1.0: group commit batches the propose path,
 	// so an all-put drive measures exactly the optimized work.
 	WriteFrac float64
-	// BatchWindow for the batched mode (default batcher.DefaultWindow via
-	// server.Config).
-	BatchWindow time.Duration
 	// Procs lists GOMAXPROCS settings to sweep (default {1} on a
 	// single-core host, {1, NumCPU} otherwise — the multi-core column
 	// only exists when the cores do).
@@ -113,14 +110,7 @@ func RunGroupCommitCompare(o GroupCommitOptions) (*GroupCommitResult, error) {
 	for _, procs := range o.Procs {
 		runtime.GOMAXPROCS(procs)
 		for _, mode := range []string{"per_request", "batched"} {
-			window := time.Duration(0)
-			if mode == "batched" {
-				window = o.BatchWindow
-				if window == 0 {
-					window = 200 * time.Microsecond
-				}
-			}
-			row, err := runGroupCommitMode(o, mode, procs, window)
+			row, err := runGroupCommitMode(o, mode, procs)
 			if err != nil {
 				return nil, fmt.Errorf("loadharness: group commit %s @%d procs: %w", mode, procs, err)
 			}
@@ -146,11 +136,11 @@ func RunGroupCommitCompare(o GroupCommitOptions) (*GroupCommitResult, error) {
 
 // runGroupCommitMode boots a fresh fleet, drives it closed-loop, and
 // reads the propose-amplification counters off the servers themselves.
-func runGroupCommitMode(o GroupCommitOptions, mode string, procs int, window time.Duration) (*GroupCommitRow, error) {
+func runGroupCommitMode(o GroupCommitOptions, mode string, procs int) (*GroupCommitRow, error) {
 	f, err := StartFleet(FleetConfig{
 		Groups:        o.Groups,
 		NodesPerGroup: o.NodesPerGroup,
-		BatchWindow:   window,
+		GroupCommit:   mode == "batched",
 	})
 	if err != nil {
 		return nil, err

@@ -44,9 +44,6 @@ type Options struct {
 	SLA time.Duration
 	// DialParallel bounds concurrent dials while ramping (default 512).
 	DialParallel int
-	// CoalesceWindow tunes per-connection write coalescing (default
-	// wireclient.DefaultCoalesceWindow).
-	CoalesceWindow time.Duration
 	// Preload, when true, writes every key once before measuring so gets
 	// hit (default true via Run).
 	Preload bool
@@ -292,7 +289,7 @@ func growConns(conns []*wireclient.Conn, want int, o Options) ([]*wireclient.Con
 	}
 	// Per-conn buffers stay small at harness scale: 100k connections at
 	// 64 KiB of bufio each would be 6 GB before the first request.
-	cfg := wireclient.ConnConfig{CoalesceWindow: o.CoalesceWindow, ReadBuffer: 4 << 10}
+	cfg := wireclient.ConnConfig{ReadBuffer: 4 << 10}
 	base := len(conns)
 	var mu sync.Mutex
 	var firstErr error

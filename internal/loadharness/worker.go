@@ -40,7 +40,6 @@ type workerInit struct {
 	Keys         int           `json:"keys"`
 	ValueBytes   int           `json:"value_bytes"`
 	SLA          time.Duration `json:"sla"`
-	Coalesce     time.Duration `json:"coalesce"`
 	DialParallel int           `json:"dial_parallel"`
 	// Core pins the worker process to one CPU (-1 leaves it unpinned).
 	Core int `json:"core"`
@@ -89,13 +88,12 @@ func WorkerMain(r io.Reader, w io.Writer) error {
 		}
 	}
 	o := Options{
-		Addr:           init.Addr,
-		WriteFrac:      init.WriteFrac,
-		Keys:           init.Keys,
-		ValueBytes:     init.ValueBytes,
-		SLA:            init.SLA,
-		CoalesceWindow: init.Coalesce,
-		DialParallel:   init.DialParallel,
+		Addr:         init.Addr,
+		WriteFrac:    init.WriteFrac,
+		Keys:         init.Keys,
+		ValueBytes:   init.ValueBytes,
+		SLA:          init.SLA,
+		DialParallel: init.DialParallel,
 		// A worker's private front is its own dial destination, so one
 		// source IP's ephemeral range covers the whole per-worker slice.
 		SourceIPs: []string{"127.0.0.1"},
@@ -187,7 +185,7 @@ func startWorker(o Options, core int) (*workerProc, error) {
 	if err := w.enc.Encode(workerInit{
 		Addr: o.Addr, FleetBins: o.FleetBins,
 		WriteFrac: o.WriteFrac, Keys: o.Keys, ValueBytes: o.ValueBytes,
-		SLA: o.SLA, Coalesce: o.CoalesceWindow, DialParallel: o.DialParallel,
+		SLA: o.SLA, DialParallel: o.DialParallel,
 		Core: core,
 	}); err != nil {
 		w.stop()

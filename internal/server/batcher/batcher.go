@@ -1,15 +1,23 @@
 // Package batcher implements server-side group commit for the real
 // serving path: a propose batcher that coalesces concurrent client
-// commands arriving within a short window (or up to an op/byte cap) into
-// one multi-op raft entry, plus the shared commit-waiter machinery — a
-// resolve-once Waiter and a deadline heap driven by a single reused
-// timer — that replaces the per-request `time.After` allocation on every
-// propose and linearizable read.
+// commands into one multi-op raft entry, plus the shared commit-waiter
+// machinery — a resolve-once Waiter and a deadline heap driven by a
+// single reused timer — that replaces the per-request `time.After`
+// allocation on every propose and linearizable read.
 //
-// The batcher itself is runtime-agnostic: it hands finished batches to a
-// Flush callback and never touches the raft node, so it is testable
-// without a cluster and reusable by any front that funnels commands into
-// a single propose loop.
+// The batcher has no timer. Load sets the batch size: the first op of a
+// forming batch asks the owner to Cut it (Config.Schedule), and the owner
+// cuts from its own event loop when its pipeline is ready — at once when
+// idle, or once the previous entry commits when busy. Everything that
+// arrives in between rides in the same batch. A fixed window would cost
+// more than it says: Go sleeps sub-millisecond timers in epoll_wait with
+// a 1 ms timeout, so a 200 µs window holds an idle request for about
+// 1 ms.
+//
+// The batcher itself is runtime-agnostic: it hands finished batches to
+// its owner and never touches the raft node, so it is testable without a
+// cluster and reusable by any front that funnels commands into a single
+// propose loop.
 package batcher
 
 import (
@@ -18,11 +26,6 @@ import (
 
 	"dynatune/internal/kv"
 )
-
-// DefaultWindow mirrors the wireclient write-coalescing window: long
-// enough that concurrent puts on a loaded server share an entry, short
-// enough to be invisible next to a replication round trip.
-const DefaultWindow = 200 * time.Microsecond
 
 // Defaults for the batch caps.
 const (
@@ -34,8 +37,8 @@ const (
 type FlushReason uint8
 
 const (
-	// FlushWindow: the coalescing window expired.
-	FlushWindow FlushReason = iota
+	// FlushCut: the owner's clock cut the batch (Cut).
+	FlushCut FlushReason = iota
 	// FlushOps: the op-count cap filled.
 	FlushOps
 	// FlushBytes: the byte cap filled.
@@ -46,8 +49,8 @@ const (
 
 func (r FlushReason) String() string {
 	switch r {
-	case FlushWindow:
-		return "window"
+	case FlushCut:
+		return "cut"
 	case FlushOps:
 		return "ops"
 	case FlushBytes:
@@ -59,34 +62,40 @@ func (r FlushReason) String() string {
 	}
 }
 
-// Op is one queued proposal: the command plus the waiter its client
-// blocks on.
+// Op is one queued proposal: the command, the waiter its client blocks
+// on, and the time by which the owner must resolve it. The batcher only
+// carries Deadline; the owner enforces it.
 type Op struct {
-	Cmd kv.Command
-	W   *Waiter
+	Cmd      kv.Command
+	W        *Waiter
+	Deadline time.Time
 }
 
 // Config tunes a Batcher.
 type Config struct {
-	// Window is the coalescing window (default DefaultWindow).
-	Window time.Duration
 	// MaxOps flushes a batch early at this many ops (default 128).
 	MaxOps int
 	// MaxBytes flushes early once the encoded payload estimate passes
 	// this (default 256 KiB) — a batch must stay well under the wire
 	// frame cap.
 	MaxBytes int
-	// Flush receives each finished batch. It is called WITHOUT the
-	// batcher lock, from the caller that tripped a cap, the window
-	// timer's goroutine, or Drain.
+	// Schedule asks the owner to call Cut from its event loop. It is
+	// called WITHOUT the batcher lock, once per forming batch, by the Add
+	// that opened it; it must not block.
+	Schedule func()
+	// Flush receives each batch a cap cuts early (from the Add that
+	// filled it) or Drain(nil) forces out. It is called WITHOUT the
+	// batcher lock.
 	Flush func(ops []Op, reason FlushReason)
 }
 
 // Stats counts batching activity. Snapshot via Batcher.Stats.
 type Stats struct {
-	Ops         uint64 `json:"ops"`     // commands accepted
-	Batches     uint64 `json:"batches"` // flushes
-	MaxDepth    int    `json:"max_depth"`
+	Ops      uint64 `json:"ops"`     // commands accepted
+	Batches  uint64 `json:"batches"` // flushes
+	MaxDepth int    `json:"max_depth"`
+	// FlushWindow counts batches cut by the owner's loop/commit clock
+	// (FlushCut); the name predates the clock, when a timer cut them.
 	FlushWindow uint64 `json:"flush_window"`
 	FlushOps    uint64 `json:"flush_ops"`
 	FlushBytes  uint64 `json:"flush_bytes"`
@@ -109,35 +118,23 @@ type Batcher struct {
 	mu        sync.Mutex
 	ops       []Op
 	bytes     int
-	armed     bool
 	closed    bool
 	closedErr error
 	stats     Stats
-
-	// timer is the ONE reused flush timer: armed when the first op of a
-	// batch arrives, consumed or left to fire harmlessly when a cap
-	// flushes first. No per-request timer allocation anywhere.
-	timer *time.Timer
 }
 
-// New builds a Batcher. cfg.Flush must be set.
+// New builds a Batcher. cfg.Schedule and cfg.Flush must be set.
 func New(cfg Config) *Batcher {
-	if cfg.Window <= 0 {
-		cfg.Window = DefaultWindow
-	}
 	if cfg.MaxOps <= 0 {
 		cfg.MaxOps = DefaultMaxOps
 	}
 	if cfg.MaxBytes <= 0 {
 		cfg.MaxBytes = DefaultMaxBytes
 	}
-	if cfg.Flush == nil {
-		panic("batcher: Config.Flush is required")
+	if cfg.Schedule == nil || cfg.Flush == nil {
+		panic("batcher: Config.Schedule and Config.Flush are required")
 	}
-	b := &Batcher{cfg: cfg}
-	b.timer = time.AfterFunc(time.Hour, b.onWindow)
-	b.timer.Stop()
-	return b
+	return &Batcher{cfg: cfg}
 }
 
 // opBytes estimates c's encoded footprint inside a batch payload.
@@ -145,23 +142,24 @@ func opBytes(c kv.Command) int {
 	return 4 + 1 + 8 + 8 + 4 + len(c.Key) + 4 + len(c.Value)
 }
 
-// Add queues cmd. The op flushes with its batch when the window expires
-// or a cap fills — whichever comes first. After Close, w resolves
-// immediately with errClosed from Drain's error.
-func (b *Batcher) Add(cmd kv.Command, w *Waiter) {
+// Add queues op. It leaves with its batch when the owner cuts it or a
+// cap fills — whichever comes first. After Close, op.W resolves
+// immediately with the error Drain closed the batcher with.
+func (b *Batcher) Add(op Op) {
 	b.mu.Lock()
 	if b.closed {
 		err := b.closedErr
 		b.mu.Unlock()
-		w.Resolve(err)
+		op.W.Resolve(err)
 		return
 	}
-	b.ops = append(b.ops, Op{Cmd: cmd, W: w})
-	b.bytes += opBytes(cmd)
+	b.ops = append(b.ops, op)
+	b.bytes += opBytes(op.Cmd)
 	b.stats.Ops++
 	var (
-		flush  []Op
-		reason FlushReason
+		flush    []Op
+		reason   FlushReason
+		schedule bool
 	)
 	switch {
 	case len(b.ops) >= b.cfg.MaxOps:
@@ -169,9 +167,7 @@ func (b *Batcher) Add(cmd kv.Command, w *Waiter) {
 	case b.bytes >= b.cfg.MaxBytes:
 		flush, reason = b.take(), FlushBytes
 	case len(b.ops) == 1:
-		// First op of a new batch: arm the window.
-		b.armed = true
-		b.timer.Reset(b.cfg.Window)
+		schedule = true
 	}
 	if flush != nil {
 		b.note(flush, reason)
@@ -180,6 +176,22 @@ func (b *Batcher) Add(cmd kv.Command, w *Waiter) {
 	if flush != nil {
 		b.cfg.Flush(flush, reason)
 	}
+	if schedule {
+		b.cfg.Schedule()
+	}
+}
+
+// Cut detaches the forming batch for the owner to propose (nil when
+// empty). A Cut with nothing queued is harmless: a cap may have flushed
+// the batch its Schedule call announced.
+func (b *Batcher) Cut() []Op {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	ops := b.take()
+	if len(ops) > 0 {
+		b.note(ops, FlushCut)
+	}
+	return ops
 }
 
 // take detaches the accumulated batch (b.mu held).
@@ -187,10 +199,6 @@ func (b *Batcher) take() []Op {
 	ops := b.ops
 	b.ops = nil
 	b.bytes = 0
-	if b.armed {
-		b.armed = false
-		b.timer.Stop()
-	}
 	return ops
 }
 
@@ -201,7 +209,7 @@ func (b *Batcher) note(ops []Op, reason FlushReason) {
 		b.stats.MaxDepth = len(ops)
 	}
 	switch reason {
-	case FlushWindow:
+	case FlushCut:
 		b.stats.FlushWindow++
 	case FlushOps:
 		b.stats.FlushOps++
@@ -210,20 +218,6 @@ func (b *Batcher) note(ops []Op, reason FlushReason) {
 	case FlushDrain:
 		b.stats.FlushDrain++
 	}
-}
-
-// onWindow fires when the coalescing window expires.
-func (b *Batcher) onWindow() {
-	b.mu.Lock()
-	if !b.armed || len(b.ops) == 0 {
-		// A cap flush beat the timer (or a stale fire raced Stop).
-		b.mu.Unlock()
-		return
-	}
-	ops := b.take()
-	b.note(ops, FlushWindow)
-	b.mu.Unlock()
-	b.cfg.Flush(ops, FlushWindow)
 }
 
 // Drain flushes whatever is queued and, when err is non-nil, closes the

@@ -24,80 +24,126 @@ func (f *flushRec) flush(ops []Op, reason FlushReason) {
 	f.mu.Unlock()
 }
 
-func (f *flushRec) wait(t *testing.T, n int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		f.mu.Lock()
-		got := len(f.batches)
-		f.mu.Unlock()
-		if got >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d batches after 2s, want %d", got, n)
-		}
-		time.Sleep(100 * time.Microsecond)
+// depths returns each recorded batch's op count.
+func (f *flushRec) depths() []int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	d := make([]int, len(f.batches))
+	for i, b := range f.batches {
+		d[i] = len(b)
 	}
+	return d
+}
+
+// holding builds a batcher whose owner is busy: Schedule only counts the
+// cuts asked for, and the test releases the hold by calling Cut itself.
+func holding(cfg Config, rec *flushRec) (*Batcher, *atomic.Int32) {
+	var asks atomic.Int32
+	cfg.Schedule = func() { asks.Add(1) }
+	cfg.Flush = rec.flush
+	return New(cfg), &asks
 }
 
 func put(key string) kv.Command {
 	return kv.Command{Op: kv.OpPut, Key: key, Value: []byte("v")}
 }
 
+// An idle owner cuts as soon as it is asked: the op reaches the flusher
+// before Add returns, with no timer in between.
+func TestIdleAddCutsAtOnce(t *testing.T) {
+	rec := &flushRec{}
+	var b *Batcher
+	b = New(Config{
+		Schedule: func() { rec.flush(b.Cut(), FlushCut) },
+		Flush:    rec.flush,
+	})
+	b.Add(Op{Cmd: put("k"), W: NewWaiter()})
+	if d := rec.depths(); len(d) != 1 || d[0] != 1 {
+		t.Fatalf("batch depths after one idle Add = %v, want [1]", d)
+	}
+	b.Add(Op{Cmd: put("k2"), W: NewWaiter()})
+	if d := rec.depths(); len(d) != 2 || d[1] != 1 {
+		t.Fatalf("batch depths after a second idle Add = %v, want [1 1]", d)
+	}
+	if got := b.Stats(); got.Batches != 2 || got.FlushWindow != 2 {
+		t.Fatalf("stats = %+v", got)
+	}
+}
+
+// Ops added while the owner holds the batch ask for one cut between them
+// and leave as one batch, in arrival order, when the hold is released.
 func TestWindowFlushCoalesces(t *testing.T) {
 	rec := &flushRec{}
-	b := New(Config{Window: 2 * time.Millisecond, Flush: rec.flush})
+	b, asks := holding(Config{}, rec)
 	for i := 0; i < 5; i++ {
-		b.Add(put(fmt.Sprintf("k%d", i)), NewWaiter())
+		b.Add(Op{Cmd: put(fmt.Sprintf("k%d", i)), W: NewWaiter()})
 	}
-	rec.wait(t, 1)
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.batches) != 1 || len(rec.batches[0]) != 5 {
-		t.Fatalf("batches = %d (first depth %d), want one batch of 5", len(rec.batches), len(rec.batches[0]))
+	if n := asks.Load(); n != 1 {
+		t.Fatalf("5 ops into one forming batch asked for %d cuts, want 1", n)
 	}
-	if rec.reasons[0] != FlushWindow {
-		t.Fatalf("reason = %v, want window", rec.reasons[0])
+	if d := rec.depths(); len(d) != 0 {
+		t.Fatalf("held ops reached the flusher: %v", d)
+	}
+	ops := b.Cut()
+	if len(ops) != 5 {
+		t.Fatalf("released batch holds %d ops, want 5", len(ops))
+	}
+	for i, op := range ops {
+		if want := fmt.Sprintf("k%d", i); op.Cmd.Key != want {
+			t.Fatalf("op %d = %s, want %s", i, op.Cmd.Key, want)
+		}
 	}
 	if got := b.Stats(); got.Ops != 5 || got.Batches != 1 || got.MaxDepth != 5 || got.FlushWindow != 1 {
 		t.Fatalf("stats = %+v", got)
+	}
+	// The released batcher is empty; a spare Cut records nothing, and the
+	// next op opens a new batch that asks again.
+	if ops := b.Cut(); ops != nil {
+		t.Fatalf("second Cut returned %d ops", len(ops))
+	}
+	b.Add(Op{Cmd: put("k5"), W: NewWaiter()})
+	if n := asks.Load(); n != 2 {
+		t.Fatalf("cut requests = %d after a new batch opened, want 2", n)
+	}
+	if got := b.Stats(); got.Batches != 1 {
+		t.Fatalf("empty Cut counted as a batch: %+v", got)
 	}
 }
 
 func TestOpsCapFlushesEarly(t *testing.T) {
 	rec := &flushRec{}
-	b := New(Config{Window: time.Hour, MaxOps: 3, Flush: rec.flush})
+	b, asks := holding(Config{MaxOps: 3}, rec)
 	for i := 0; i < 7; i++ {
-		b.Add(put(fmt.Sprintf("k%d", i)), NewWaiter())
+		b.Add(Op{Cmd: put(fmt.Sprintf("k%d", i)), W: NewWaiter()})
 	}
-	rec.wait(t, 2) // 7 ops, cap 3: two full batches, one op still queued
-	rec.mu.Lock()
-	if len(rec.batches[0]) != 3 || len(rec.batches[1]) != 3 {
-		t.Fatalf("batch depths = %d, %d", len(rec.batches[0]), len(rec.batches[1]))
+	// 7 ops, cap 3, owner holding: two full batches left inline, one op
+	// still forms.
+	if d := rec.depths(); len(d) != 2 || d[0] != 3 || d[1] != 3 {
+		t.Fatalf("batch depths = %v, want [3 3]", d)
 	}
-	if rec.reasons[0] != FlushOps {
-		t.Fatalf("reason = %v", rec.reasons[0])
+	if rec.reasons[0] != FlushOps || rec.reasons[1] != FlushOps {
+		t.Fatalf("reasons = %v", rec.reasons)
 	}
-	rec.mu.Unlock()
+	// Each cap flush emptied the batcher, so ops 0, 3 and 6 each opened
+	// a batch and asked for a cut.
+	if n := asks.Load(); n != 3 {
+		t.Fatalf("cut requests = %d, want 3", n)
+	}
 	b.Drain(nil)
-	rec.wait(t, 3)
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.batches[2]) != 1 || rec.reasons[2] != FlushDrain {
-		t.Fatalf("drain batch depth %d reason %v", len(rec.batches[2]), rec.reasons[2])
+	if d := rec.depths(); len(d) != 3 || d[2] != 1 || rec.reasons[2] != FlushDrain {
+		t.Fatalf("drain batch depths %v reasons %v", d, rec.reasons)
 	}
 }
 
 func TestBytesCapFlushesEarly(t *testing.T) {
 	rec := &flushRec{}
-	b := New(Config{Window: time.Hour, MaxBytes: 100, Flush: rec.flush})
+	b, _ := holding(Config{MaxBytes: 200}, rec)
 	big := kv.Command{Op: kv.OpPut, Key: "k", Value: make([]byte, 80)}
-	b.Add(big, NewWaiter())
-	b.Add(big, NewWaiter())
-	rec.wait(t, 1)
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
+	b.Add(Op{Cmd: big, W: NewWaiter()})
+	b.Add(Op{Cmd: big, W: NewWaiter()})
+	if d := rec.depths(); len(d) != 1 || d[0] != 2 {
+		t.Fatalf("batch depths = %v, want [2]", d)
+	}
 	if rec.reasons[0] != FlushBytes {
 		t.Fatalf("reason = %v, want bytes", rec.reasons[0])
 	}
@@ -105,9 +151,9 @@ func TestBytesCapFlushesEarly(t *testing.T) {
 
 func TestDrainWithErrorAbortsAndCloses(t *testing.T) {
 	rec := &flushRec{}
-	b := New(Config{Window: time.Hour, Flush: rec.flush})
+	b, _ := holding(Config{}, rec)
 	w1 := NewWaiter()
-	b.Add(put("a"), w1)
+	b.Add(Op{Cmd: put("a"), W: w1})
 	boom := errors.New("leadership lost")
 	b.Drain(boom)
 	select {
@@ -120,7 +166,7 @@ func TestDrainWithErrorAbortsAndCloses(t *testing.T) {
 	}
 	// Post-close Adds resolve immediately with the drain error.
 	w2 := NewWaiter()
-	b.Add(put("b"), w2)
+	b.Add(Op{Cmd: put("b"), W: w2})
 	select {
 	case err := <-w2.C():
 		if !errors.Is(err, boom) {
@@ -129,20 +175,22 @@ func TestDrainWithErrorAbortsAndCloses(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("post-close Add never resolved")
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if len(rec.batches) != 0 {
+	if d := rec.depths(); len(d) != 0 {
 		t.Fatal("aborted batch must not reach Flush")
 	}
 }
 
 func TestConcurrentAddAccountsEveryOp(t *testing.T) {
 	var flushed atomic.Uint64
-	b := New(Config{Window: 200 * time.Microsecond, MaxOps: 16, Flush: func(ops []Op, _ FlushReason) {
+	flush := func(ops []Op, _ FlushReason) {
 		flushed.Add(uint64(len(ops)))
 		for _, op := range ops {
 			op.W.Resolve(nil)
 		}
+	}
+	var b *Batcher
+	b = New(Config{MaxOps: 16, Flush: flush, Schedule: func() {
+		go func() { flush(b.Cut(), FlushCut) }()
 	}})
 	const gs, per = 8, 200
 	var wg sync.WaitGroup
@@ -152,7 +200,7 @@ func TestConcurrentAddAccountsEveryOp(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				w := NewWaiter()
-				b.Add(put(fmt.Sprintf("g%d-%d", g, i)), w)
+				b.Add(Op{Cmd: put(fmt.Sprintf("g%d-%d", g, i)), W: w})
 				<-w.C()
 			}
 		}(g)

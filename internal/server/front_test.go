@@ -70,11 +70,12 @@ func TestFrontRoutesAcrossGroups(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("all keys served by groups %v; front not sharding", seen)
 	}
-	// Each key lives only in its owning group's stores.
+	// Each key lives only in its owning group's stores. Read each group's
+	// leader: it applied every acked put, a follower may still lag.
 	for _, k := range keys {
 		owner := front.Router().Route(k)
 		for gi, grp := range groups {
-			_, ok := grp[0].Get(k)
+			_, ok := waitLeader(t, grp, 10*time.Second).Get(k)
 			if want := int(owner) == gi; ok != want {
 				t.Fatalf("key %q present=%v in group %d (owner %d)", k, ok, gi, owner)
 			}

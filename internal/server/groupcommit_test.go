@@ -37,6 +37,13 @@ func reserveAddr(tb testing.TB, network string) string {
 // startBatchCluster boots n servers with group commit enabled.
 func startBatchCluster(tb testing.TB, n int, window time.Duration) []*Server {
 	tb.Helper()
+	return startBatchClusterWith(tb, n, func(c *Config) { c.BatchWindow = window })
+}
+
+// startBatchClusterWith boots n servers on fastTuner, letting tune adjust
+// each node's Config before it starts.
+func startBatchClusterWith(tb testing.TB, n int, tune func(*Config)) []*Server {
+	tb.Helper()
 	addrs := make(map[raft.ID]transport.PeerAddr, n)
 	for i := 0; i < n; i++ {
 		addrs[raft.ID(i+1)] = transport.PeerAddr{
@@ -46,14 +53,15 @@ func startBatchCluster(tb testing.TB, n int, window time.Duration) []*Server {
 	}
 	srvs := make([]*Server, n)
 	for i := 0; i < n; i++ {
-		s, err := Start(Config{
-			ID:          raft.ID(i + 1),
-			Listen:      addrs[raft.ID(i+1)],
-			HTTPListen:  "127.0.0.1:0",
-			Peers:       addrs,
-			Tuner:       fastTuner(),
-			BatchWindow: window,
-		})
+		cfg := Config{
+			ID:         raft.ID(i + 1),
+			Listen:     addrs[raft.ID(i+1)],
+			HTTPListen: "127.0.0.1:0",
+			Peers:      addrs,
+			Tuner:      fastTuner(),
+		}
+		tune(&cfg)
+		s, err := Start(cfg)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -203,6 +211,87 @@ func TestBatchAbortOnLeaderChange(t *testing.T) {
 	}
 	if got := newLead.Store().LastSeq(99); got != n {
 		t.Fatalf("lastSeq = %d, want %d", got, n)
+	}
+}
+
+// TestHeldBatchBoundedByProposeTimeout requires the group-commit hold to
+// end within ProposeTimeout when the commit index never advances. The
+// leader's outbound replication is blackholed, so its first entry stays
+// uncommitted and every later Propose is held behind it. A 2 s election
+// timeout keeps the leader in office (check-quorum and the followers'
+// campaigns both wait out an election timeout) well past the 300 ms
+// ProposeTimeout, so only the hold's own bound can end the wait. A put
+// that joins the hold near its end must still get its own full
+// ProposeTimeout, not the remainder of the hold's.
+func TestHeldBatchBoundedByProposeTimeout(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	srvs := startBatchClusterWith(t, 3, func(c *Config) {
+		c.BatchWindow = time.Millisecond
+		c.ProposeTimeout = timeout
+		c.Tuner = raft.NewStaticTuner(2*time.Second, 50*time.Millisecond)
+	})
+	lead := waitLeader(t, srvs, 15*time.Second)
+	if err := lead.Propose(kv.Command{Op: kv.OpPut, Key: "warm", Value: []byte("v")}); err != nil {
+		t.Fatal(err)
+	}
+	dead := transport.PeerAddr{TCP: "127.0.0.1:1", UDP: "127.0.0.1:1"}
+	for _, s := range srvs {
+		if s != lead {
+			lead.SetPeer(s.cfg.ID, dead)
+		}
+	}
+
+	type putRes struct {
+		err error
+		el  time.Duration
+	}
+	propose := func(key string, out chan<- putRes) {
+		start := time.Now()
+		err := lead.Propose(kv.Command{Op: kv.OpPut, Key: key, Value: []byte("v")})
+		out <- putRes{err, time.Since(start)}
+	}
+	// The first put becomes the uncommitted tail.
+	base := lead.BatchStats().Entries
+	tail := make(chan putRes, 1)
+	go propose("tail", tail)
+	for deadline := time.Now().Add(time.Second); lead.BatchStats().Entries == base; {
+		if time.Now().After(deadline) {
+			t.Fatal("the tail put was never proposed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Everything after it is held.
+	const n = 4
+	held := make(chan putRes, n)
+	for i := 0; i < n; i++ {
+		go propose(fmt.Sprintf("held-%d", i), held)
+	}
+	late := make(chan putRes, 1)
+	time.Sleep(timeout * 3 / 4)
+	go propose("late", late)
+	const bound = timeout + timeout/2
+	for i := 0; i < n; i++ {
+		r := <-held
+		if !errors.Is(r.err, lead.errProposeTO) {
+			t.Fatalf("held put resolved with %v, want the propose timeout", r.err)
+		}
+		if r.el > bound {
+			t.Fatalf("held put resolved after %v, want ≤ %v", r.el, bound)
+		}
+	}
+	if r := <-tail; !errors.Is(r.err, lead.errProposeTO) || r.el > bound {
+		t.Fatalf("tail put: %v after %v", r.err, r.el)
+	}
+	if r := <-late; !errors.Is(r.err, lead.errProposeTO) || r.el < timeout || r.el > bound {
+		t.Fatalf("late put: %v after %v, want the propose timeout after [%v, %v]", r.err, r.el, timeout, bound)
+	}
+	// One entry per hold at most: the held puts did not each become an
+	// entry of their own behind the stalled tail.
+	if st := lead.BatchStats(); st.Entries-base-1 > 2 {
+		t.Fatalf("%d entries proposed behind the stalled tail, want ≤ 2", st.Entries-base-1)
+	}
+	if st := lead.Status(); st.State != "leader" {
+		t.Fatalf("leader stepped down (%s) before the hold expired; the test proves nothing", st.State)
 	}
 }
 

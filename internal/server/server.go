@@ -21,8 +21,8 @@ import (
 	"time"
 
 	"dynatune/internal/kv"
-	"dynatune/internal/server/batcher"
 	"dynatune/internal/raft"
+	"dynatune/internal/server/batcher"
 	"dynatune/internal/transport"
 )
 
@@ -44,17 +44,23 @@ type Config struct {
 	Tracer raft.Tracer
 	// Logger defaults to a prefixed standard logger.
 	Logger *log.Logger
-	// ProposeTimeout bounds how long a PUT waits for commit (default 5s).
+	// ProposeTimeout bounds how long a PUT waits for commit, counted
+	// from its Propose call (default 5s).
 	ProposeTimeout time.Duration
-	// BatchWindow enables server-side group commit on the propose path:
-	// concurrent commands arriving within the window coalesce into ONE
-	// multi-op raft entry (kv.OpBatch), cutting per-entry replication
-	// cost under load. Zero disables batching — every Propose is its own
-	// entry, as before.
+	// BatchWindow > 0 enables server-side group commit on the propose
+	// path: concurrent commands coalesce into ONE multi-op raft entry
+	// (kv.OpBatch), cutting per-entry replication cost under load. Zero
+	// disables batching — every Propose is its own entry. The value is
+	// only a switch: load, not a timer, sets the batch size. An idle
+	// leader proposes a command at once; a leader whose previous entry is
+	// still uncommitted holds the forming batch until the commit index
+	// advances. A fixed window would cost about 1 ms, not its nominal
+	// 200 µs, because Go sleeps sub-millisecond timers in epoll_wait with
+	// a 1 ms timeout.
 	BatchWindow time.Duration
-	// BatchMaxOps / BatchMaxBytes flush a batch before the window when it
-	// fills (defaults batcher.DefaultMaxOps / DefaultMaxBytes). Only used
-	// when BatchWindow > 0.
+	// BatchMaxOps / BatchMaxBytes cut a batch at once when it fills
+	// (defaults batcher.DefaultMaxOps / DefaultMaxBytes). Only used when
+	// BatchWindow > 0.
 	BatchMaxOps   int
 	BatchMaxBytes int
 	// Persister, when set, makes the node's term/vote/log durable
@@ -106,6 +112,13 @@ type Server struct {
 	dheap    batcher.DeadlineHeap
 	dtimer   *time.Timer
 	dtimerAt time.Time
+	// The group-commit hold: while held, the forming batch waits for the
+	// commit index to pass holdCommit, for leadership loss, or for
+	// holdUntil (one ProposeTimeout after the hold began), whichever
+	// comes first.
+	held       bool
+	holdCommit uint64
+	holdUntil  time.Time
 }
 
 type timerKey struct {
@@ -142,9 +155,9 @@ func Start(cfg Config) (*Server, error) {
 	s.dtimer.Stop()
 	if cfg.BatchWindow > 0 {
 		s.bat = batcher.New(batcher.Config{
-			Window:   cfg.BatchWindow,
 			MaxOps:   cfg.BatchMaxOps,
 			MaxBytes: cfg.BatchMaxBytes,
+			Schedule: func() { s.exec(s.cutBatch) },
 			Flush: func(ops []batcher.Op, _ batcher.FlushReason) {
 				s.exec(func() { s.proposeOps(ops) })
 			},
@@ -251,6 +264,7 @@ func (s *Server) loop() {
 			// immediately so no batch waits out its full ProposeTimeout
 			// on an entry the new leader may overwrite.
 			s.abortIfNotLeader()
+			s.releaseHold()
 		case <-compact.C:
 			s.node.CompactLog(1024)
 		case <-s.done:
@@ -298,15 +312,52 @@ func (s *Server) abortIfNotLeader() {
 	s.lg.Printf("aborted %d in-flight proposal(s) on leadership change", n)
 }
 
+// cutBatch is the group-commit clock (loop goroutine), scheduled by the
+// first op of each forming batch. An idle leader proposes the batch at
+// once. A leader whose log has an uncommitted tail holds it until the
+// commit index advances, so every op that arrives meanwhile rides in the
+// same entry. A non-leader proposes too, and proposeOps fails the batch
+// fast with ErrNotLeader.
+func (s *Server) cutBatch() {
+	if s.held {
+		return
+	}
+	if lg := s.node.Log(); s.node.State() == raft.StateLeader && lg.LastIndex() > lg.Committed() {
+		s.held = true
+		s.holdCommit = lg.Committed()
+		s.holdUntil = time.Now().Add(s.cfg.ProposeTimeout)
+		s.armDeadline(s.holdUntil)
+		return
+	}
+	s.proposeOps(s.bat.Cut())
+}
+
+// releaseHold proposes the held batch once the commit index has advanced,
+// leadership is lost, or the hold has lasted ProposeTimeout (loop
+// goroutine, after every event and deadline sweep). A hold that times out
+// still proposes: each op keeps its own deadline, so an op that joined
+// late waits out the rest of its ProposeTimeout like any other.
+func (s *Server) releaseHold() {
+	if !s.held || (s.node.State() == raft.StateLeader && s.node.Log().Committed() == s.holdCommit &&
+		time.Now().Before(s.holdUntil)) {
+		return
+	}
+	s.held = false
+	s.proposeOps(s.bat.Cut())
+}
+
 // proposeOps replicates a finished batch as one raft entry (loop
 // goroutine). A single op skips the OpBatch wrapper entirely, so an idle
 // server's entries are byte-identical to the unbatched build and the
 // amplification counters stay honest.
 func (s *Server) proposeOps(ops []batcher.Op) {
 	var data []byte
-	if len(ops) == 1 {
+	switch len(ops) {
+	case 0:
+		return
+	case 1:
 		data = kv.Encode(ops[0].Cmd)
-	} else {
+	default:
 		cmds := make([]kv.Command, len(ops))
 		for i := range ops {
 			cmds[i] = ops[i].Cmd
@@ -332,18 +383,17 @@ func (s *Server) proposeOps(ops []batcher.Op) {
 		return
 	}
 	ws := make([]*batcher.Waiter, len(ops))
-	at := time.Now().Add(s.cfg.ProposeTimeout)
 	for i, op := range ops {
 		ws[i] = op.W
-		s.dheap.Push(op.W, at, s.errProposeTO)
+		s.dheap.Push(op.W, op.Deadline, s.errProposeTO)
+		s.armDeadline(op.Deadline)
 	}
 	s.pending[idx] = ws
-	s.armDeadline(at)
 }
 
 // armDeadline makes sure the sweep timer fires by at (loop goroutine).
-// Deadlines arrive in monotone order, so an armed timer is already early
-// enough and Reset is rare.
+// Deadlines arrive in nearly monotone order, so an armed timer is
+// usually early enough and Reset is rare.
 func (s *Server) armDeadline(at time.Time) {
 	if !s.dtimerAt.IsZero() && !at.Before(s.dtimerAt) {
 		return
@@ -352,12 +402,16 @@ func (s *Server) armDeadline(at time.Time) {
 	s.dtimer.Reset(time.Until(at))
 }
 
-// sweepDeadlines expires due waiters and re-arms for the next deadline
-// (loop goroutine, via dtimer).
+// sweepDeadlines ends a hold that outlived ProposeTimeout, expires due
+// waiters and re-arms for the next deadline (loop goroutine, via dtimer).
 func (s *Server) sweepDeadlines() {
 	s.dtimerAt = time.Time{}
+	s.releaseHold()
 	if next := s.dheap.Expire(time.Now()); !next.IsZero() {
 		s.armDeadline(next)
+	}
+	if s.held {
+		s.armDeadline(s.holdUntil)
 	}
 }
 
@@ -453,14 +507,15 @@ func (s *Server) BatchStats() BatchStats {
 var errShutdown = errors.New("server: shut down")
 
 // Propose replicates a command and waits for it to commit locally. With
-// BatchWindow set it joins the open group-commit batch; either way the
+// BatchWindow set it joins the forming group-commit batch; either way the
 // timeout comes from the shared deadline heap, not a per-call timer.
 func (s *Server) Propose(cmd kv.Command) error {
-	w := batcher.NewWaiter()
+	op := batcher.Op{Cmd: cmd, W: batcher.NewWaiter(), Deadline: time.Now().Add(s.cfg.ProposeTimeout)}
+	w := op.W
 	if s.bat != nil {
-		s.bat.Add(cmd, w)
+		s.bat.Add(op)
 	} else {
-		s.exec(func() { s.proposeOps([]batcher.Op{{Cmd: cmd, W: w}}) })
+		s.exec(func() { s.proposeOps([]batcher.Op{op}) })
 	}
 	select {
 	case err := <-w.C():
@@ -534,12 +589,12 @@ func (s *Server) Status() Status {
 	ch := make(chan Status, 1)
 	s.exec(func() {
 		ch <- Status{
-			ID:        s.node.ID(),
-			State:     s.node.State().String(),
-			Term:      s.node.Term(),
-			Leader:    s.node.Lead(),
-			Committed: s.node.Log().Committed(),
-			Applied:   s.node.Log().Applied(),
+			ID:          s.node.ID(),
+			State:       s.node.State().String(),
+			Term:        s.node.Term(),
+			Leader:      s.node.Lead(),
+			Committed:   s.node.Log().Committed(),
+			Applied:     s.node.Log().Applied(),
 			EtMs:        float64(s.node.ElectionTimeoutBase()) / float64(time.Millisecond),
 			RandTOMs:    float64(s.node.RandomizedTimeout()) / float64(time.Millisecond),
 			GroupCommit: s.BatchStats(),
@@ -684,7 +739,7 @@ func (s *Server) Stop() {
 		}
 		if s.bat != nil {
 			// Close the batcher: queued and future Adds fail fast instead
-			// of sitting in a window no one will flush.
+			// of waiting for a cut the stopped loop will never make.
 			s.bat.Drain(errShutdown)
 		}
 		close(s.done)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 
@@ -16,21 +17,8 @@ import (
 // ErrClosed reports an operation on a closed connection.
 var ErrClosed = errors.New("wireclient: connection closed")
 
-// DefaultCoalesceWindow is how long a queued request may wait for
-// companions before its batch is flushed. Small enough to be invisible
-// next to a replication round trip, large enough that concurrent callers
-// on one connection share a single syscall.
-const DefaultCoalesceWindow = 200 * time.Microsecond
-
-// flushThreshold flushes a batch early once this many bytes are queued,
-// bounding memory and keeping the pipe busy under heavy load.
-const flushThreshold = 64 << 10
-
 // ConnConfig tunes a single pipelined connection.
 type ConnConfig struct {
-	// CoalesceWindow overrides DefaultCoalesceWindow; < 0 disables
-	// coalescing (every request flushes immediately).
-	CoalesceWindow time.Duration
 	// ReadBuffer sizes the read side (default 64 KiB).
 	ReadBuffer int
 }
@@ -44,9 +32,15 @@ type call struct {
 // issue requests concurrently; a writer goroutine coalesces them into
 // batched writes and a reader goroutine demultiplexes responses by
 // request id, so slow requests never block fast ones behind them.
+//
+// Coalescing is clocked by load, not by a timer: the writer yields once
+// after a kick so callers that are already runnable can queue, then
+// writes everything queued; requests that arrive during a write leave
+// with the next one. An idle request is written at once. A fixed window
+// would cost about 1 ms, not its nominal 200 µs, because Go sleeps
+// sub-millisecond timers in epoll_wait with a 1 ms timeout.
 type Conn struct {
-	nc     net.Conn
-	window time.Duration
+	nc net.Conn
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -62,19 +56,12 @@ type Conn struct {
 
 // NewConn wraps an established net.Conn.
 func NewConn(nc net.Conn, cfg ConnConfig) *Conn {
-	w := cfg.CoalesceWindow
-	if w == 0 {
-		w = DefaultCoalesceWindow
-	} else if w < 0 {
-		w = 0
-	}
 	rb := cfg.ReadBuffer
 	if rb <= 0 {
 		rb = 64 << 10
 	}
 	c := &Conn{
 		nc:      nc,
-		window:  w,
 		pending: make(map[uint64]call),
 		kick:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
@@ -113,18 +100,8 @@ func (c *Conn) Do(r *Request, cb func(Response, error)) {
 	r.ID = c.nextID
 	c.pending[r.ID] = call{op: r.Op, cb: cb}
 	c.wbuf = AppendRequest(c.wbuf, r)
-	full := len(c.wbuf) >= flushThreshold
 	c.mu.Unlock()
-	if full || c.window == 0 {
-		c.kickWriter()
-	} else {
-		// Lazy kick: the writer sleeps the coalesce window after waking,
-		// so one kick covers every request queued inside the window.
-		select {
-		case c.kick <- struct{}{}:
-		default:
-		}
-	}
+	c.kickWriter()
 }
 
 // Call issues req and waits for its response.
@@ -141,6 +118,8 @@ func (c *Conn) Call(r *Request) (Response, error) {
 	return res.resp, res.err
 }
 
+// kickWriter wakes the writer; one pending kick covers every request
+// queued before the writer takes the buffer.
 func (c *Conn) kickWriter() {
 	select {
 	case c.kick <- struct{}{}:
@@ -191,16 +170,13 @@ func (c *Conn) fail(err error) {
 
 func (c *Conn) writeLoop() {
 	defer c.wg.Done()
-	bw := bufio.NewWriterSize(c.nc, flushThreshold+4<<10)
 	for {
 		select {
 		case <-c.kick:
 		case <-c.done:
 			return
 		}
-		if c.window > 0 {
-			time.Sleep(c.window) // gather companions
-		}
+		runtime.Gosched() // let already-runnable callers queue first
 		c.mu.Lock()
 		if c.closed {
 			c.mu.Unlock()
@@ -213,10 +189,7 @@ func (c *Conn) writeLoop() {
 			wire.PutBuf(buf)
 			continue
 		}
-		_, err := bw.Write(buf)
-		if err == nil {
-			err = bw.Flush()
-		}
+		_, err := c.nc.Write(buf)
 		wire.PutBuf(buf)
 		if err != nil {
 			c.fail(fmt.Errorf("wireclient: write: %w", err))

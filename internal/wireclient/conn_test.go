@@ -172,11 +172,11 @@ func TestConnPipelinesConcurrentRequests(t *testing.T) {
 	}
 }
 
-// Requests issued within the coalesce window should leave as few batched
-// writes, not one TCP segment each.
+// Requests issued while the writer is busy should leave as few batched
+// writes, not one TCP segment each — with no timer holding them.
 func TestConnWriteCoalescing(t *testing.T) {
 	s := startStub(t, echoHandler)
-	c, err := Dial(s.ln.Addr().String(), time.Second, ConnConfig{CoalesceWindow: 2 * time.Millisecond})
+	c, err := Dial(s.ln.Addr().String(), time.Second, ConnConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +199,7 @@ func TestConnWriteCoalescing(t *testing.T) {
 	if got > N/2 {
 		t.Fatalf("server saw %d reads for %d coalesced requests", got, N)
 	}
+	t.Logf("%d requests arrived in %d reads", N, got)
 }
 
 // A dead connection must fail every pending request, not hang them.

@@ -1,8 +1,8 @@
 // Package wireclient is the binary client protocol for the real serving
 // path: a length-prefixed (uvarint) framing with request-id demultiplexing
 // so one TCP connection carries many concurrent pipelined requests, a
-// pooled connection layer with write coalescing (requests queued within a
-// small window leave as one batched write), and a sharded client that
+// pooled connection layer with write coalescing (requests queued while
+// the writer is busy leave as one batched write), and a sharded client that
 // follows in-protocol leader hints. It replaces HTTP on the hot path: no
 // header parsing, no per-request connection state, and responses may
 // complete out of order.
