@@ -1,17 +1,18 @@
-// Command dynactl is the client for dynatuned nodes: get/put/delete keys
-// and inspect node status over the HTTP API, following leader hints on
-// misdirected writes. With -bin it speaks the pipelined binary protocol
-// (internal/wireclient) instead — get/put/ping against node or Front
-// binary endpoints, following in-protocol not-leader hints.
+// Command dynactl is the client for dynatuned nodes. It speaks the
+// pipelined binary protocol (internal/wireclient) to one group's member
+// binary addresses, listed in node-ID order so a not-leader hint names the
+// endpoint to try next, or to a sharded Front's binary address. status
+// reads each node's HTTP /status endpoint instead, given as arguments.
 //
-//	dynactl -endpoints 127.0.0.1:8101,127.0.0.1:8102 put color blue
-//	dynactl -endpoints 127.0.0.1:8101 get color
-//	dynactl -endpoints 127.0.0.1:8101,127.0.0.1:8102,127.0.0.1:8103 status
-//	dynactl -endpoints 127.0.0.1:8101 bench -n 1000
-//	dynactl -bin -endpoints 127.0.0.1:9101,127.0.0.1:9102,127.0.0.1:9103 put color blue
+//	dynactl -endpoints 127.0.0.1:9101,127.0.0.1:9102,127.0.0.1:9103 put color blue
+//	dynactl -endpoints 127.0.0.1:9101,127.0.0.1:9102,127.0.0.1:9103 -consistency linearizable get color
+//	dynactl -endpoints 127.0.0.1:9101,127.0.0.1:9102,127.0.0.1:9103 del color
+//	dynactl -endpoints 127.0.0.1:9101,127.0.0.1:9102,127.0.0.1:9103 bench -n 1000
+//	dynactl status 127.0.0.1:8101 127.0.0.1:8102 127.0.0.1:8103
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -25,44 +26,21 @@ import (
 	"dynatune/internal/wireclient"
 )
 
-func main() {
-	endpoints := flag.String("endpoints", "127.0.0.1:8101", "comma-separated HTTP endpoints")
-	timeout := flag.Duration("timeout", 5*time.Second, "per-request timeout")
-	consistency := flag.String("consistency", "local", "get consistency: local | linearizable | lease")
-	bin := flag.Bool("bin", false, "speak the binary protocol (endpoints are binary API addresses)")
-	flag.Parse()
-	args := flag.Args()
-	if len(args) == 0 {
-		usage()
-		os.Exit(2)
-	}
-	eps := strings.Split(*endpoints, ",")
-	if *bin {
-		if err := binMain(eps, args, *consistency); err != nil {
-			fmt.Fprintln(os.Stderr, "dynactl:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	client := &client{hc: &http.Client{Timeout: *timeout}, endpoints: eps}
+// errUsage makes main print the usage line and exit 2.
+var errUsage = errors.New("usage")
 
-	var err error
-	switch args[0] {
-	case "get":
-		err = requireArgs(args, 2, func() error { return client.get(args[1], *consistency) })
-	case "put":
-		err = requireArgs(args, 3, func() error { return client.put(args[1], args[2]) })
-	case "del":
-		err = requireArgs(args, 2, func() error { return client.del(args[1]) })
-	case "status":
-		err = client.status()
-	case "bench":
-		fs := flag.NewFlagSet("bench", flag.ExitOnError)
-		n := fs.Int("n", 100, "number of sequential puts")
-		fs.Parse(args[1:]) //nolint:errcheck // ExitOnError
-		err = client.bench(*n)
-	default:
-		usage()
+// readModes maps -consistency values to OpGet flags.
+var readModes = map[string]uint8{
+	"local":        wireclient.FlagLocal,
+	"lease":        0,
+	"linearizable": wireclient.FlagReadIndex,
+}
+
+func main() {
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errUsage) {
+		fmt.Fprintln(os.Stderr, `usage: dynactl [-endpoints host:port,...] [-timeout d] [-consistency local|lease|linearizable] {get <key> | put <key> <value> | del <key> | bench [-n N] | ping}
+       dynactl [-timeout d] status <http host:port>...`)
 		os.Exit(2)
 	}
 	if err != nil {
@@ -71,185 +49,112 @@ func main() {
 	}
 }
 
-// binMain serves the -bin subcommands over a leader-following group
-// client: endpoints are treated as one group's member (or Front) binary
-// addresses.
-func binMain(eps, args []string, consistency string) error {
-	gc := wireclient.NewGroupClient(eps, wireclient.PoolConfig{Size: 1})
+// run executes one dynactl command line, printing results to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("dynactl", flag.ContinueOnError)
+	endpoints := fs.String("endpoints", "127.0.0.1:9101", "comma-separated binary API addresses: one group's members in node-ID order, or a Front")
+	timeout := fs.Duration("timeout", 5*time.Second, "dial timeout; also the per-request timeout of status")
+	consistency := fs.String("consistency", "local", "get read mode: local | lease | linearizable")
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
+	args = fs.Args()
+	if len(args) == 0 {
+		return errUsage
+	}
+	if args[0] == "status" {
+		if len(args) < 2 {
+			return errUsage
+		}
+		return status(args[1:], *timeout, out)
+	}
+
+	gc := wireclient.NewGroupClient(strings.Split(*endpoints, ","), wireclient.PoolConfig{Size: 1, DialTimeout: *timeout})
 	defer gc.Close()
-	switch args[0] {
-	case "get":
-		if len(args) != 2 {
-			usage()
-			os.Exit(2)
+	switch {
+	case args[0] == "get" && len(args) == 2:
+		flags, ok := readModes[*consistency]
+		if !ok {
+			return fmt.Errorf("bad -consistency %q (want local|lease|linearizable)", *consistency)
 		}
-		req := wireclient.Request{Op: wireclient.OpGet, Key: args[1]}
-		if consistency == "local" {
-			req.Flags |= wireclient.FlagLocal
-		}
-		resp, err := gc.Call(&req)
-		if err != nil {
+		resp, err := gc.Call(&wireclient.Request{Op: wireclient.OpGet, Flags: flags, Key: args[1]})
+		if err := result(resp, err); err != nil {
 			return err
 		}
-		switch resp.Status {
-		case wireclient.StatusOK:
-			fmt.Println(string(resp.Value))
-			return nil
-		case wireclient.StatusNotFound:
-			return fmt.Errorf("key not found")
-		default:
-			return fmt.Errorf("%s: %s", resp.Status, resp.Err)
-		}
-	case "put":
-		if len(args) != 3 {
-			usage()
-			os.Exit(2)
-		}
-		resp, err := gc.Call(&wireclient.Request{Op: wireclient.OpPut, Key: args[1], Value: []byte(args[2])})
-		if err != nil {
+		fmt.Fprintln(out, string(resp.Value))
+	case args[0] == "put" && len(args) == 3:
+		if err := result(gc.Call(&wireclient.Request{Op: wireclient.OpPut, Key: args[1], Value: []byte(args[2])})); err != nil {
 			return err
 		}
-		if resp.Status != wireclient.StatusOK {
-			return fmt.Errorf("%s: %s", resp.Status, resp.Err)
+		fmt.Fprintln(out, "OK")
+	case args[0] == "del" && len(args) == 2:
+		if err := result(gc.Call(&wireclient.Request{Op: wireclient.OpDelete, Key: args[1]})); err != nil {
+			return err
 		}
-		fmt.Println("OK")
-		return nil
-	case "ping":
+		fmt.Fprintln(out, "OK")
+	case args[0] == "ping" && len(args) == 1:
 		t0 := time.Now()
-		resp, err := gc.Call(&wireclient.Request{Op: wireclient.OpPing})
-		if err != nil {
+		if err := result(gc.Call(&wireclient.Request{Op: wireclient.OpPing})); err != nil {
 			return err
 		}
-		if resp.Status != wireclient.StatusOK {
-			return fmt.Errorf("%s: %s", resp.Status, resp.Err)
+		fmt.Fprintf(out, "OK %.3fms\n", float64(time.Since(t0).Microseconds())/1000)
+	case args[0] == "bench":
+		bfs := flag.NewFlagSet("bench", flag.ContinueOnError)
+		n := bfs.Int("n", 100, "number of sequential puts")
+		if err := bfs.Parse(args[1:]); err != nil || bfs.NArg() != 0 {
+			return errUsage
 		}
-		fmt.Printf("OK %.3fms\n", float64(time.Since(t0).Microseconds())/1000)
-		return nil
+		return bench(gc, *n, out)
 	default:
-		usage()
-		os.Exit(2)
-		return nil
+		return errUsage
 	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dynactl [-endpoints host:port,...] [-consistency local|linearizable|lease] {get <key> | put <key> <value> | del <key> | status | bench [-n N]}
-       dynactl -bin [-endpoints host:port,...] {get <key> | put <key> <value> | ping}`)
-}
-
-func requireArgs(args []string, n int, fn func() error) error {
-	if len(args) != n {
-		usage()
-		os.Exit(2)
-	}
-	return fn()
-}
-
-type client struct {
-	hc        *http.Client
-	endpoints []string
-}
-
-// do tries each endpoint, following X-Raft-Leader hints on 421s.
-func (c *client) do(method, path string, body string) (string, error) {
-	var lastErr error
-	tried := map[string]bool{}
-	queue := append([]string(nil), c.endpoints...)
-	for len(queue) > 0 {
-		ep := queue[0]
-		queue = queue[1:]
-		if tried[ep] {
-			continue
-		}
-		tried[ep] = true
-		req, err := http.NewRequest(method, "http://"+ep+path, strings.NewReader(body))
-		if err != nil {
-			return "", err
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		switch resp.StatusCode {
-		case http.StatusOK:
-			return string(data), nil
-		case http.StatusNotFound:
-			return "", fmt.Errorf("key not found")
-		case http.StatusMisdirectedRequest:
-			// Follow the leader hint: same port layout assumed, so map
-			// the leader's node id onto the endpoint list order when
-			// possible; otherwise just try the remaining endpoints.
-			lastErr = fmt.Errorf("%s is not the leader", ep)
-			continue
-		default:
-			lastErr = fmt.Errorf("%s: %s (%s)", ep, resp.Status, strings.TrimSpace(string(data)))
-		}
-	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("no endpoints reachable")
-	}
-	return "", lastErr
-}
-
-func (c *client) get(key, consistency string) error {
-	path := "/kv/" + key
-	if consistency != "" && consistency != "local" {
-		path += "?consistency=" + consistency
-	}
-	v, err := c.do(http.MethodGet, path, "")
-	if err != nil {
-		return err
-	}
-	fmt.Println(v)
 	return nil
 }
 
-func (c *client) put(key, value string) error {
-	_, err := c.do(http.MethodPut, "/kv/"+key, value)
-	if err == nil {
-		fmt.Println("OK")
+// result turns a call's outcome into the command's error.
+func result(resp wireclient.Response, err error) error {
+	switch {
+	case err != nil:
+		return err
+	case resp.Status == wireclient.StatusOK:
+		return nil
+	case resp.Status == wireclient.StatusNotFound:
+		return errors.New("key not found")
+	default:
+		return fmt.Errorf("%s: %s", resp.Status, resp.Err)
 	}
-	return err
 }
 
-func (c *client) del(key string) error {
-	_, err := c.do(http.MethodDelete, "/kv/"+key, "")
-	if err == nil {
-		fmt.Println("OK")
-	}
-	return err
-}
-
-func (c *client) status() error {
+// status prints each node's /status JSON; it fails only when no node
+// answers.
+func status(addrs []string, timeout time.Duration, out io.Writer) error {
+	hc := &http.Client{Timeout: timeout}
 	ok := 0
-	for _, ep := range c.endpoints {
-		resp, err := c.hc.Get("http://" + ep + "/status")
+	for _, addr := range addrs {
+		resp, err := hc.Get("http://" + addr + "/status")
 		if err != nil {
-			fmt.Printf("%-22s unreachable: %v\n", ep, err)
+			fmt.Fprintf(out, "%-22s unreachable: %v\n", addr, err)
 			continue
 		}
 		data, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		fmt.Printf("%-22s %s\n", ep, strings.TrimSpace(string(data)))
+		fmt.Fprintf(out, "%-22s %s\n", addr, strings.TrimSpace(string(data)))
 		ok++
 	}
 	if ok == 0 {
-		return fmt.Errorf("no endpoints reachable")
+		return errors.New("no endpoints reachable")
 	}
 	return nil
 }
 
 // bench measures sequential put latency — a tiny real-network cousin of
 // the Fig. 5 harness.
-func (c *client) bench(n int) error {
+func bench(gc *wireclient.GroupClient, n int, out io.Writer) error {
 	lats := make([]float64, 0, n)
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		t0 := time.Now()
-		if _, err := c.do(http.MethodPut, fmt.Sprintf("/kv/bench-%d", i), "v"); err != nil {
+		if err := result(gc.Call(&wireclient.Request{Op: wireclient.OpPut, Key: fmt.Sprintf("bench-%d", i), Value: []byte("v")})); err != nil {
 			return fmt.Errorf("put %d: %w", i, err)
 		}
 		lats = append(lats, float64(time.Since(t0).Microseconds())/1000)
@@ -257,7 +162,7 @@ func (c *client) bench(n int) error {
 	elapsed := time.Since(start)
 	sort.Float64s(lats)
 	s := metrics.Summarize(lats)
-	fmt.Printf("%d puts in %v (%.0f req/s)\n", n, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
-	fmt.Printf("latency ms: mean %.2f  p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n", s.Mean, s.P50, s.P90, s.P99, s.Max)
+	fmt.Fprintf(out, "%d puts in %v (%.0f req/s)\n", n, elapsed.Round(time.Millisecond), float64(n)/elapsed.Seconds())
+	fmt.Fprintf(out, "latency ms: mean %.2f  p50 %.2f  p90 %.2f  p99 %.2f  max %.2f\n", s.Mean, s.P50, s.P90, s.P99, s.Max)
 	return nil
 }

@@ -1,8 +1,8 @@
 // Real cluster: boots three in-process dynatuned nodes on loopback with
 // the genuine UDP/TCP transport and wall-clock timers, replicates a few
-// keys over HTTP, drives a pipelined workload through the binary Front,
-// kills the leader, and times the wall-clock failover — the non-simulated
-// counterpart of the quickstart.
+// keys through the leader, drives a pipelined workload through the binary
+// Front, kills the leader, and times the wall-clock failover — the
+// non-simulated counterpart of the quickstart.
 //
 //	go run ./examples/realcluster
 package main
@@ -62,7 +62,7 @@ func main() {
 		}
 		defer s.Stop()
 		servers[id] = s
-		fmt.Printf("node %d up: raft %s, http %s\n", id, s.Addrs().TCP, s.HTTPAddr())
+		fmt.Printf("node %d up: raft %s, bin %s, status http://%s/status\n", id, s.Addrs().TCP, s.BinAddr(), s.HTTPAddr())
 	}
 
 	lead := waitLeader(servers)

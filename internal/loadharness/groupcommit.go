@@ -147,7 +147,7 @@ func runGroupCommitMode(o GroupCommitOptions, mode string, procs int) (*GroupCom
 	}
 	defer f.Stop()
 
-	co := CompareOptions{
+	co := closedOptions{
 		BinAddr:   f.BinAddr,
 		Conns:     o.Conns,
 		Duration:  o.Duration,

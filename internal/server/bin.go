@@ -17,12 +17,12 @@ import (
 	"dynatune/internal/wireclient"
 )
 
-// The binary API: the hot serving path beside the HTTP one. One TCP
-// connection carries many concurrent requests (demuxed by request id);
-// each connection runs a reader/writer goroutine pair, a bounded inflight
-// semaphore provides backpressure, and responses batch naturally — the
-// writer flushes only when its queue runs dry, so a burst of completions
-// leaves in one syscall.
+// The binary API: the one client protocol of nodes and the sharded
+// BinFront. One TCP connection carries many concurrent requests (demuxed
+// by request id); each connection runs a reader/writer goroutine pair, a
+// bounded inflight semaphore provides backpressure, and responses batch
+// naturally — the writer flushes only when its queue runs dry, so a burst
+// of completions leaves in one syscall.
 
 const (
 	// binMaxInflight bounds concurrently executing requests per
@@ -32,6 +32,13 @@ const (
 	// binDrainTimeout bounds how long shutdown waits for in-flight
 	// requests before tearing connections down.
 	binDrainTimeout = 5 * time.Second
+	// maxValueBytes caps put values on the node API; larger values are
+	// rejected, never truncated.
+	maxValueBytes = 1 << 20
+	// maxMultiGetKeys bounds one multiget on the node API and the
+	// BinFront; larger batches are rejected rather than amplified onto
+	// the backends.
+	maxMultiGetKeys = 1024
 )
 
 // binHandler executes one request and returns its response (the caller
@@ -215,21 +222,29 @@ func (b *binServer) close() {
 
 // --- node-side binary API ---
 
-// handleBin serves one binary request against this node: puts replicate
-// through Propose, gets default to leader lease reads (FlagLocal for a
-// local read), multigets ride one lease barrier then read locally.
-// Leader-only failures answer StatusNotLeader with this node's best
-// leader hint — the in-protocol twin of misdirected()'s X-Raft-Leader.
+// handleBin serves one binary request against this node: puts and
+// deletes replicate through Propose; gets default to leader lease reads
+// (FlagLocal for a local read, FlagReadIndex for a ReadIndex read);
+// multigets ride one lease barrier then read locally. Empty keys are
+// rejected. Leader-only failures answer StatusNotLeader with this node's
+// best leader hint, which clients follow to the leader.
 func (s *Server) handleBin(req wireclient.Request) wireclient.Response {
 	resp := wireclient.Response{}
 	switch req.Op {
 	case wireclient.OpPing:
 
-	case wireclient.OpPut:
+	case wireclient.OpPut, wireclient.OpDelete:
+		if req.Key == "" {
+			return binErrf("missing key")
+		}
 		if len(req.Value) > maxValueBytes {
 			return binErrf(fmt.Sprintf("value exceeds %d bytes", maxValueBytes))
 		}
-		err := s.Propose(kv.Command{Op: kv.OpPut, Key: req.Key, Value: req.Value})
+		cmd := kv.Command{Op: kv.OpPut, Key: req.Key, Value: req.Value}
+		if req.Op == wireclient.OpDelete {
+			cmd = kv.Command{Op: kv.OpDelete, Key: req.Key}
+		}
+		err := s.Propose(cmd)
 		if errors.Is(err, raft.ErrNotLeader) {
 			return s.binMisdirected()
 		}
@@ -238,13 +253,16 @@ func (s *Server) handleBin(req wireclient.Request) wireclient.Response {
 		}
 
 	case wireclient.OpGet:
+		if req.Key == "" {
+			return binErrf("missing key")
+		}
 		var v []byte
 		var ok bool
 		if req.Flags&wireclient.FlagLocal != 0 {
 			v, ok = s.Get(req.Key)
 		} else {
 			var err error
-			v, ok, err = s.GetLinearizable(req.Key, true)
+			v, ok, err = s.GetLinearizable(req.Key, req.Flags&wireclient.FlagReadIndex == 0)
 			if isNotLeaderErr(err) {
 				return s.binMisdirected()
 			}
@@ -262,9 +280,14 @@ func (s *Server) handleBin(req wireclient.Request) wireclient.Response {
 		if len(req.Keys) > maxMultiGetKeys {
 			return binErrf(fmt.Sprintf("at most %d keys per multiget", maxMultiGetKeys))
 		}
+		for _, k := range req.Keys {
+			if k == "" {
+				return binErrf("empty key in multiget")
+			}
+		}
 		// One lease barrier covers every key read after it: the reads are
-		// leader-local at the barrier point, same contract as the HTTP
-		// front's per-group lease reads but at 1/K the confirmation cost.
+		// leader-local at the barrier point, at 1/K the confirmation cost
+		// of K single-key lease reads.
 		err := s.readBarrier(true)
 		if isNotLeaderErr(err) {
 			return s.binMisdirected()

@@ -5,40 +5,25 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net/http"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"dynatune/internal/raft"
-	"dynatune/internal/transport"
 	"dynatune/internal/wireclient"
 )
 
-// startBinCluster boots n servers with both HTTP and binary listeners and
-// returns the servers plus their binary addresses indexed by node ID-1.
+// startBinCluster boots n servers with a binary client listener and an
+// HTTP /status listener and returns the servers plus their binary
+// addresses indexed by node ID-1.
 func startBinCluster(t *testing.T, n int) ([]*Server, []string) {
 	t.Helper()
-	addrs := make(map[raft.ID]transport.PeerAddr, n)
-	for i := 0; i < n; i++ {
-		addrs[raft.ID(i+1)] = transport.PeerAddr{TCP: reservePort(t, "tcp"), UDP: reservePort(t, "udp")}
-	}
-	srvs := make([]*Server, n)
+	srvs := startClusterWith(t, n, func(c *Config) { c.HTTPListen, c.BinListen = "127.0.0.1:0", "127.0.0.1:0" })
 	bins := make([]string, n)
-	for i := 0; i < n; i++ {
-		s, err := Start(Config{
-			ID:         raft.ID(i + 1),
-			Listen:     addrs[raft.ID(i+1)],
-			HTTPListen: "127.0.0.1:0",
-			BinListen:  "127.0.0.1:0",
-			Peers:      addrs,
-			Tuner:      fastTuner(),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srvs[i] = s
+	for i, s := range srvs {
 		bins[i] = s.BinAddr()
-		t.Cleanup(s.Stop)
 	}
 	return srvs, bins
 }
@@ -49,32 +34,97 @@ func TestBinPutGetAgainstNodes(t *testing.T) {
 
 	gc := wireclient.NewGroupClient(bins, wireclient.PoolConfig{Size: 1})
 	defer gc.Close()
+	call := groupCall(t, gc)
 
-	resp, err := gc.Call(&wireclient.Request{Op: wireclient.OpPut, Key: "color", Value: []byte("blue")})
-	if err != nil {
-		t.Fatalf("put: %v", err)
-	}
-	if resp.Status != wireclient.StatusOK {
+	if resp := call(wireclient.Request{Op: wireclient.OpPut, Key: "color", Value: []byte("blue")}); resp.Status != wireclient.StatusOK {
 		t.Fatalf("put status %s: %s", resp.Status, resp.Err)
 	}
-	resp, err = gc.Call(&wireclient.Request{Op: wireclient.OpGet, Key: "color"})
-	if err != nil {
-		t.Fatalf("get: %v", err)
-	}
-	if resp.Status != wireclient.StatusOK || !bytes.Equal(resp.Value, []byte("blue")) {
+	if resp := call(wireclient.Request{Op: wireclient.OpGet, Key: "color"}); resp.Status != wireclient.StatusOK || !bytes.Equal(resp.Value, []byte("blue")) {
 		t.Fatalf("get: status %s value %q", resp.Status, resp.Value)
 	}
-	resp, err = gc.Call(&wireclient.Request{Op: wireclient.OpGet, Key: "nope"})
-	if err != nil {
-		t.Fatalf("get missing: %v", err)
+	if resp := call(wireclient.Request{Op: wireclient.OpGet, Key: "nope"}); resp.Status != wireclient.StatusNotFound {
+		t.Fatalf("missing key: status %s", resp.Status)
 	}
-	if resp.Status != wireclient.StatusNotFound {
-		t.Fatalf("missing key status %s", resp.Status)
+	if resp := call(wireclient.Request{Op: wireclient.OpDelete, Key: "color"}); resp.Status != wireclient.StatusOK {
+		t.Fatalf("delete status %s: %s", resp.Status, resp.Err)
+	}
+	if resp := call(wireclient.Request{Op: wireclient.OpGet, Flags: wireclient.FlagReadIndex, Key: "color"}); resp.Status != wireclient.StatusNotFound {
+		t.Fatalf("get after delete: status %s value %q", resp.Status, resp.Value)
 	}
 }
 
-// A put sent straight at a follower must answer StatusNotLeader carrying
-// the real leader's id — the in-protocol twin of HTTP 421 + X-Raft-Leader.
+// groupCall returns a helper that sends one request through gc and fails
+// the test on a transport error.
+func groupCall(t *testing.T, gc *wireclient.GroupClient) func(wireclient.Request) wireclient.Response {
+	return func(r wireclient.Request) wireclient.Response {
+		t.Helper()
+		resp, err := gc.Call(&r)
+		if err != nil {
+			t.Fatalf("%s %q: %v", r.Op, r.Key, err)
+		}
+		return resp
+	}
+}
+
+// The node HTTP listener serves /status and nothing else: key-value
+// traffic goes over the binary API only.
+func TestHTTPAPI(t *testing.T) {
+	srvs, _ := startBinCluster(t, 3)
+	lead := waitLeader(t, srvs, 10*time.Second)
+	base := "http://" + lead.HTTPAddr()
+
+	st, err := http.Get(base + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(st.Body)
+	st.Body.Close()
+	if st.StatusCode != http.StatusOK || !strings.Contains(string(body), `"state":"leader"`) {
+		t.Fatalf("status = %d %s", st.StatusCode, body)
+	}
+	for _, path := range []string{"/kv/color", "/multiget?key=color"} {
+		resp, err := http.Get(base + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s on the status listener = %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// The read consistency mode, once the HTTP ?consistency= parameter, is a
+// per-request flag: lease by default, FlagLocal for a local read and
+// FlagReadIndex for a ReadIndex read. Every mode sees an acked put and
+// reports a missing key as not found. (A follower's not-leader hint on a
+// ReadIndex read is checked in TestBinFollowerReturnsLeaderHint.)
+func TestHTTPConsistencyParam(t *testing.T) {
+	srvs, bins := startBinCluster(t, 3)
+	waitLeader(t, srvs, 10*time.Second)
+
+	gc := wireclient.NewGroupClient(bins, wireclient.PoolConfig{Size: 1})
+	defer gc.Close()
+	call := groupCall(t, gc)
+
+	if resp := call(wireclient.Request{Op: wireclient.OpPut, Key: "c", Value: []byte("42")}); resp.Status != wireclient.StatusOK {
+		t.Fatalf("put status %s: %s", resp.Status, resp.Err)
+	}
+	// The group client cached the leader, so even the local read lands
+	// on the node that applied the put.
+	for _, flags := range []uint8{0, wireclient.FlagLocal, wireclient.FlagReadIndex} {
+		resp := call(wireclient.Request{Op: wireclient.OpGet, Flags: flags, Key: "c"})
+		if resp.Status != wireclient.StatusOK || !bytes.Equal(resp.Value, []byte("42")) {
+			t.Fatalf("get flags=%d: status %s value %q", flags, resp.Status, resp.Value)
+		}
+		if resp := call(wireclient.Request{Op: wireclient.OpGet, Flags: flags, Key: "nope"}); resp.Status != wireclient.StatusNotFound {
+			t.Fatalf("missing key flags=%d: status %s", flags, resp.Status)
+		}
+	}
+}
+
+// Every leader-only request sent straight at a follower must answer
+// StatusNotLeader carrying the real leader's id.
 func TestBinFollowerReturnsLeaderHint(t *testing.T) {
 	srvs, bins := startBinCluster(t, 3)
 	leader := waitLeader(t, srvs, 10*time.Second)
@@ -92,24 +142,100 @@ func TestBinFollowerReturnsLeaderHint(t *testing.T) {
 	}
 	defer c.Close()
 
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := c.Call(&wireclient.Request{Op: wireclient.OpPut, Key: "k", Value: []byte("v")})
-		if err != nil {
-			t.Fatalf("call: %v", err)
-		}
-		if resp.Status == wireclient.StatusNotLeader {
-			if resp.Leader != uint64(leader.Status().ID) {
-				t.Fatalf("hint %d, leader is %d", resp.Leader, leader.Status().ID)
+	for _, req := range []wireclient.Request{
+		{Op: wireclient.OpPut, Key: "k", Value: []byte("v")},
+		{Op: wireclient.OpDelete, Key: "k"},
+		{Op: wireclient.OpGet, Key: "k"},
+		{Op: wireclient.OpGet, Flags: wireclient.FlagReadIndex, Key: "k"},
+		{Op: wireclient.OpMultiGet, Keys: []string{"k", "j"}},
+	} {
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			resp, err := c.Call(&req)
+			if err != nil {
+				t.Fatalf("%s flags=%d: %v", req.Op, req.Flags, err)
 			}
-			return
+			if resp.Status == wireclient.StatusNotLeader && resp.Leader != 0 {
+				if resp.Leader != uint64(leader.Status().ID) {
+					t.Fatalf("%s flags=%d: hint %d, leader is %d", req.Op, req.Flags, resp.Leader, leader.Status().ID)
+				}
+				break
+			}
+			// The follower may not have learned the leader yet (hint 0);
+			// retry briefly.
+			if time.Now().After(deadline) {
+				t.Fatalf("%s flags=%d: never got a leader hint; last status %s", req.Op, req.Flags, resp.Status)
+			}
+			time.Sleep(50 * time.Millisecond)
 		}
-		// The follower may not have learned the leader yet (hint 0 comes
-		// back as an error upstream); retry briefly.
-		if time.Now().After(deadline) {
-			t.Fatalf("never got a leader hint; last status %s", resp.Status)
+	}
+}
+
+// Every node validates a request before it proposes or reads: empty keys
+// and oversize multigets are rejected by leader and followers alike (a
+// follower would otherwise answer not-leader), and nothing is proposed.
+func TestBinRejectsInvalidRequests(t *testing.T) {
+	srvs, bins := startBinCluster(t, 3)
+	leader := waitLeader(t, srvs, 10*time.Second)
+
+	for i := range srvs {
+		c, err := wireclient.Dial(bins[i], 2*time.Second, wireclient.ConnConfig{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		time.Sleep(50 * time.Millisecond)
+		defer c.Close()
+		for _, req := range []wireclient.Request{
+			{Op: wireclient.OpPut, Key: "", Value: []byte("v")},
+			{Op: wireclient.OpGet, Key: ""},
+			{Op: wireclient.OpGet, Flags: wireclient.FlagLocal, Key: ""},
+			{Op: wireclient.OpDelete, Key: ""},
+			{Op: wireclient.OpMultiGet, Keys: []string{"a", ""}},
+			{Op: wireclient.OpMultiGet, Keys: multiGetKeys(maxMultiGetKeys + 1)},
+		} {
+			resp, err := c.Call(&req)
+			if err != nil {
+				t.Fatalf("node %d %s: %v", i+1, req.Op, err)
+			}
+			if resp.Status != wireclient.StatusErr {
+				t.Fatalf("node %d %s %q (%d keys): status %s, want err", i+1, req.Op, req.Key, len(req.Keys), resp.Status)
+			}
+		}
+	}
+	if n := leader.BatchStats().ClientOps; n != 0 {
+		t.Fatalf("%d commands proposed for invalid requests", n)
+	}
+}
+
+func multiGetKeys(n int) []string {
+	keys := make([]string, n)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("cap-%d", i)
+	}
+	return keys
+}
+
+// FlagReadIndex asks for a quorum round, not the lease: a leader cut off
+// from both followers still holds its lease for up to one Et, but must
+// not serve a ReadIndex read.
+func TestBinReadIndexNeedsQuorum(t *testing.T) {
+	srvs, bins := startBinCluster(t, 3)
+	leader := waitLeader(t, srvs, 10*time.Second)
+	c, err := wireclient.Dial(bins[leader.Status().ID-1], 2*time.Second, wireclient.ConnConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, s := range srvs {
+		if s != leader {
+			s.Stop()
+		}
+	}
+	resp, err := c.Call(&wireclient.Request{Op: wireclient.OpGet, Flags: wireclient.FlagReadIndex, Key: "k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Status != wireclient.StatusNotLeader && resp.Status != wireclient.StatusErr {
+		t.Fatalf("ReadIndex read without a quorum: status %s", resp.Status)
 	}
 }
 
@@ -240,68 +366,207 @@ func TestBinServerDrainAnswersAccepted(t *testing.T) {
 	closed.Wait()
 }
 
-// BinFront routes keys across groups and reassembles cross-group multigets
-// positionally.
-func TestBinFrontShardedRouting(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots two raft clusters")
-	}
-	const G = 2
-	groupBins := make([][]string, G)
-	for g := 0; g < G; g++ {
-		srvs, bins := startBinCluster(t, 3)
-		waitLeader(t, srvs, 10*time.Second)
-		groupBins[g] = bins
+// startBinSharded boots g three-node groups and a BinFront over their
+// binary listeners, and returns the front, a client of it and the groups.
+func startBinSharded(t *testing.T, g int) (*BinFront, *wireclient.Client, [][]*Server) {
+	t.Helper()
+	groups := make([][]*Server, g)
+	groupBins := make([][]string, g)
+	for i := 0; i < g; i++ {
+		groups[i], groupBins[i] = startBinCluster(t, 3)
+		waitLeader(t, groups[i], 10*time.Second)
 	}
 	f, err := StartBinFront("127.0.0.1:0", groupBins, wireclient.PoolConfig{Size: 1}, log.New(io.Discard, "", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-
+	t.Cleanup(f.Close)
 	cl := wireclient.NewClient([]string{f.Addr()}, wireclient.PoolConfig{Size: 1})
-	defer cl.Close()
+	t.Cleanup(cl.Close)
+	return f, cl, groups
+}
 
-	// Find keys landing in each group so the multiget truly spans groups.
-	byGroup := map[int]string{}
-	keys := []string{}
-	for i := 0; len(byGroup) < G || len(keys) < 6; i++ {
-		k := fmt.Sprintf("shard-key-%d", i)
-		g := int(f.Router().Route(k))
-		if _, ok := byGroup[g]; !ok {
-			byGroup[g] = k
-		}
-		keys = append(keys, k)
+// spanningKeys returns at least n keys named prefix-i that together land
+// in every one of the front's g groups.
+func spanningKeys(t *testing.T, f *BinFront, g int, prefix string, n int) []string {
+	t.Helper()
+	seen := map[int]bool{}
+	var keys []string
+	for i := 0; len(seen) < g || len(keys) < n; i++ {
 		if i > 1000 {
 			t.Fatal("router never spread keys across groups")
 		}
+		k := fmt.Sprintf("%s-%d", prefix, i)
+		seen[int(f.Router().Route(k))] = true
+		keys = append(keys, k)
 	}
-	for i, k := range keys {
-		if err := cl.Put(k, []byte(fmt.Sprintf("val-%d", i))); err != nil {
-			t.Fatalf("put %s: %v", k, err)
+	return keys
+}
+
+// putGetThroughFront writes "val-"+k for every key through cl and reads
+// each back.
+func putGetThroughFront(t *testing.T, cl *wireclient.Client, keys []string) {
+	t.Helper()
+	for _, k := range keys {
+		if err := cl.Put(k, []byte("val-"+k)); err != nil {
+			t.Fatalf("put %q: %v", k, err)
 		}
 	}
-	for i, k := range keys {
+	for _, k := range keys {
 		v, err := cl.Get(k)
-		if err != nil {
-			t.Fatalf("get %s: %v", k, err)
-		}
-		if want := fmt.Sprintf("val-%d", i); string(v) != want {
-			t.Fatalf("get %s: %q want %q", k, v, want)
+		if err != nil || string(v) != "val-"+k {
+			t.Fatalf("get %q: %q %v", k, v, err)
 		}
 	}
-	mgKeys := append([]string{}, keys...)
-	mgKeys = append(mgKeys, "never-written")
+}
+
+// BinFront spreads keys over its groups and each key lives only in its
+// owning group's stores.
+func TestFrontRoutesAcrossGroups(t *testing.T) {
+	const G = 2
+	f, cl, groups := startBinSharded(t, G)
+	keys := spanningKeys(t, f, G, "front", 16)
+	putGetThroughFront(t, cl, keys)
+	// Read each group's leader: it applied every acked put, a follower
+	// may still lag.
+	for _, k := range keys {
+		owner := f.Router().Route(k)
+		for gi, grp := range groups {
+			_, ok := waitLeader(t, grp, 10*time.Second).Get(k)
+			if want := int(owner) == gi; ok != want {
+				t.Fatalf("key %q present=%v in group %d (owner %d)", k, ok, gi, owner)
+			}
+		}
+	}
+}
+
+// A multiget through BinFront that spans groups comes back reassembled
+// in request order, with an absent key reported as not found.
+func TestFrontMultiGet(t *testing.T) {
+	const G = 2
+	f, cl, _ := startBinSharded(t, G)
+	keys := spanningKeys(t, f, G, "mg", 4)
+	putGetThroughFront(t, cl, keys)
+	const absent = 1
+	mgKeys := append([]string{}, keys[:absent]...)
+	mgKeys = append(mgKeys, "mg-absent")
+	mgKeys = append(mgKeys, keys[absent:]...)
 	vals, found, err := cl.MultiGet(mgKeys)
 	if err != nil {
 		t.Fatalf("multiget: %v", err)
 	}
-	for i := range keys {
-		if !found[i] || string(vals[i]) != fmt.Sprintf("val-%d", i) {
-			t.Fatalf("multiget slot %d: found=%v val=%q", i, found[i], vals[i])
+	if len(found) != len(mgKeys) {
+		t.Fatalf("multiget returned %d of %d slots", len(found), len(mgKeys))
+	}
+	for i, k := range mgKeys {
+		if i == absent {
+			if found[i] {
+				t.Fatalf("absent key reported found: %q", vals[i])
+			}
+			continue
+		}
+		if !found[i] || string(vals[i]) != "val-"+k {
+			t.Fatalf("multiget slot %d (%q): found=%v val=%q", i, k, found[i], vals[i])
 		}
 	}
-	if found[len(keys)] {
-		t.Fatal("missing key reported found")
+}
+
+// Keys with URL-reserved characters pass through BinFront verbatim, for
+// single reads and multigets alike.
+func TestFrontEscapedKeys(t *testing.T) {
+	_, cl, _ := startBinSharded(t, 2)
+	keys := []string{"100%", "a?b", "a b", "pre#fix"}
+	putGetThroughFront(t, cl, keys)
+	vals, found, err := cl.MultiGet(keys)
+	if err != nil {
+		t.Fatalf("multiget: %v", err)
 	}
+	for i, k := range keys {
+		if !found[i] || string(vals[i]) != "val-"+k {
+			t.Fatalf("multiget[%q]: found=%v val=%q", k, found[i], vals[i])
+		}
+	}
+}
+
+// BinFront routes deletes like puts: a key deleted through the front is
+// gone from its owning group, and a ReadIndex read through the front
+// sees that.
+func TestBinFrontShardedRouting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots two raft clusters")
+	}
+	const G = 2
+	f, cl, groups := startBinSharded(t, G)
+	keys := spanningKeys(t, f, G, "shard-key", G)
+	putGetThroughFront(t, cl, keys)
+	for _, k := range keys {
+		resp, err := cl.Call(&wireclient.Request{Op: wireclient.OpDelete, Key: k})
+		if err != nil || resp.Status != wireclient.StatusOK {
+			t.Fatalf("delete %q: %v %+v", k, err, resp)
+		}
+		resp, err = cl.Call(&wireclient.Request{Op: wireclient.OpGet, Flags: wireclient.FlagReadIndex, Key: k})
+		if err != nil || resp.Status != wireclient.StatusNotFound {
+			t.Fatalf("get %q after delete: %v %+v", k, err, resp)
+		}
+		owner := groups[f.Router().Route(k)]
+		if _, ok := waitLeader(t, owner, 10*time.Second).Get(k); ok {
+			t.Fatalf("key %q still in its owning group after delete", k)
+		}
+	}
+}
+
+// StartBinFront rejects an empty topology, and the front rejects invalid
+// requests (empty keys, a multiget over maxMultiGetKeys) without
+// forwarding them; a multiget at the cap is served.
+func TestBinFrontValidation(t *testing.T) {
+	lg := log.New(io.Discard, "", 0)
+	if _, err := StartBinFront("127.0.0.1:0", nil, wireclient.PoolConfig{}, lg); err == nil {
+		t.Fatal("expected error for empty group set")
+	}
+	if _, err := StartBinFront("127.0.0.1:0", [][]string{{}}, wireclient.PoolConfig{}, lg); err == nil {
+		t.Fatal("expected error for group with no members")
+	}
+	f, hits := startFakeFront(t)
+	for _, req := range []wireclient.Request{
+		{Op: wireclient.OpPut, Key: "", Value: []byte("v")},
+		{Op: wireclient.OpGet, Key: ""},
+		{Op: wireclient.OpDelete, Key: ""},
+		{Op: wireclient.OpMultiGet},
+		{Op: wireclient.OpMultiGet, Keys: []string{"a", ""}},
+		{Op: wireclient.OpMultiGet, Keys: multiGetKeys(maxMultiGetKeys + 1)},
+	} {
+		if resp := f.handle(req); resp.Status != wireclient.StatusErr {
+			t.Fatalf("%s %q (%d keys): status %s, want err", req.Op, req.Key, len(req.Keys), resp.Status)
+		}
+	}
+	if n := hits.Load(); n != 0 {
+		t.Fatalf("invalid requests forwarded %d times", n)
+	}
+	resp := f.handle(wireclient.Request{Op: wireclient.OpMultiGet, Keys: multiGetKeys(maxMultiGetKeys)})
+	if resp.Status != wireclient.StatusOK || len(resp.Found) != maxMultiGetKeys || hits.Load() == 0 {
+		t.Fatalf("multiget at the cap: status %s %q, %d results, %d forwards", resp.Status, resp.Err, len(resp.Found), hits.Load())
+	}
+}
+
+// startFakeFront starts a BinFront over one group whose only member is a
+// binary server that answers every request as leader (multigets with
+// all keys absent) and counts what reaches it.
+func startFakeFront(t *testing.T) (*BinFront, *atomic.Int64) {
+	t.Helper()
+	hits := new(atomic.Int64)
+	lg := log.New(io.Discard, "", 0)
+	member, err := startBinServer("127.0.0.1:0", func(req wireclient.Request) wireclient.Response {
+		hits.Add(1)
+		return wireclient.Response{Multi: make([][]byte, len(req.Keys)), Found: make([]bool, len(req.Keys))}
+	}, lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(member.close)
+	f, err := StartBinFront("127.0.0.1:0", [][]string{{member.addr()}}, wireclient.PoolConfig{Size: 1}, lg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return f, hits
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -13,62 +12,10 @@ import (
 	"dynatune/internal/transport"
 )
 
-// reserveAddr is reservePort for benchmarks too.
-func reserveAddr(tb testing.TB, network string) string {
-	tb.Helper()
-	if network == "tcp" {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			tb.Fatal(err)
-		}
-		addr := ln.Addr().String()
-		ln.Close()
-		return addr
-	}
-	pc, err := net.ListenPacket("udp", "127.0.0.1:0")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	addr := pc.LocalAddr().String()
-	pc.Close()
-	return addr
-}
-
 // startBatchCluster boots n servers with group commit enabled.
 func startBatchCluster(tb testing.TB, n int, window time.Duration) []*Server {
 	tb.Helper()
-	return startBatchClusterWith(tb, n, func(c *Config) { c.BatchWindow = window })
-}
-
-// startBatchClusterWith boots n servers on fastTuner, letting tune adjust
-// each node's Config before it starts.
-func startBatchClusterWith(tb testing.TB, n int, tune func(*Config)) []*Server {
-	tb.Helper()
-	addrs := make(map[raft.ID]transport.PeerAddr, n)
-	for i := 0; i < n; i++ {
-		addrs[raft.ID(i+1)] = transport.PeerAddr{
-			TCP: reserveAddr(tb, "tcp"),
-			UDP: reserveAddr(tb, "udp"),
-		}
-	}
-	srvs := make([]*Server, n)
-	for i := 0; i < n; i++ {
-		cfg := Config{
-			ID:         raft.ID(i + 1),
-			Listen:     addrs[raft.ID(i+1)],
-			HTTPListen: "127.0.0.1:0",
-			Peers:      addrs,
-			Tuner:      fastTuner(),
-		}
-		tune(&cfg)
-		s, err := Start(cfg)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		srvs[i] = s
-		tb.Cleanup(s.Stop)
-	}
-	return srvs
+	return startClusterWith(tb, n, func(c *Config) { c.BatchWindow = window })
 }
 
 // TestGroupCommitCoalesces drives many concurrent writers at a batching
@@ -225,7 +172,7 @@ func TestBatchAbortOnLeaderChange(t *testing.T) {
 // ProposeTimeout, not the remainder of the hold's.
 func TestHeldBatchBoundedByProposeTimeout(t *testing.T) {
 	const timeout = 300 * time.Millisecond
-	srvs := startBatchClusterWith(t, 3, func(c *Config) {
+	srvs := startClusterWith(t, 3, func(c *Config) {
 		c.BatchWindow = time.Millisecond
 		c.ProposeTimeout = timeout
 		c.Tuner = raft.NewStaticTuner(2*time.Second, 50*time.Millisecond)

@@ -18,7 +18,7 @@ func startPersistedCluster(t *testing.T, n int) ([]*Server, map[raft.ID]transpor
 	t.Helper()
 	addrs := make(map[raft.ID]transport.PeerAddr, n)
 	for i := 0; i < n; i++ {
-		addrs[raft.ID(i+1)] = transport.PeerAddr{TCP: reservePort(t, "tcp"), UDP: reservePort(t, "udp")}
+		addrs[raft.ID(i+1)] = transport.PeerAddr{TCP: reserveAddr(t, "tcp"), UDP: reserveAddr(t, "udp")}
 	}
 	dirs := make([]string, n)
 	srvs := make([]*Server, n)

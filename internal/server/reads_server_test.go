@@ -3,8 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"testing"
 	"time"
 
@@ -45,54 +43,6 @@ func TestGetLinearizableOnFollowerFails(t *testing.T) {
 		if _, _, err := s.GetLinearizable("x", false); !errors.Is(err, raft.ErrNotLeader) {
 			t.Fatalf("follower linearizable get: err=%v, want ErrNotLeader", err)
 		}
-	}
-}
-
-func TestHTTPConsistencyParam(t *testing.T) {
-	srvs := startClusterStatic(t, 3, fastTuner)
-	lead := waitLeader(t, srvs, 10*time.Second)
-	if err := lead.Propose(kv.Command{Op: kv.OpPut, Key: "c", Value: []byte("42")}); err != nil {
-		t.Fatal(err)
-	}
-	base := "http://" + lead.HTTPAddr()
-	for _, q := range []string{"", "?consistency=local", "?consistency=linearizable", "?consistency=lease"} {
-		resp, err := http.Get(base + "/kv/c" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || string(body) != "42" {
-			t.Fatalf("GET %q: %d %q", q, resp.StatusCode, body)
-		}
-	}
-	// Bad value rejected.
-	resp, err := http.Get(base + "/kv/c?consistency=wat")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad consistency: %d, want 400", resp.StatusCode)
-	}
-	// Linearizable GET against a follower is misdirected with a hint.
-	var follower *Server
-	for _, s := range srvs {
-		if s != lead {
-			follower = s
-			break
-		}
-	}
-	resp, err = http.Get("http://" + follower.HTTPAddr() + "/kv/c?consistency=linearizable")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("follower linearizable GET: %d, want 421", resp.StatusCode)
-	}
-	if resp.Header.Get("X-Raft-Leader") == "" {
-		t.Fatal("misdirected response lacks the leader hint")
 	}
 }
 

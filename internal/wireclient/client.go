@@ -11,16 +11,17 @@ import (
 // ErrNotFound reports an absent key from the typed helpers.
 var ErrNotFound = errors.New("wireclient: key not found")
 
-// notReadyBackoff mirrors the HTTP front's pause when a member hints at
-// itself: a freshly elected leader whose no-op or lease has not committed
-// answers not-leader with its own ID for a few milliseconds.
+// notReadyBackoff is GroupClient.Call's one pause per call when a member
+// hints at itself: a freshly elected leader whose no-op or lease has not
+// committed answers not-leader with its own ID for a few milliseconds.
 const notReadyBackoff = 50 * time.Millisecond
 
 // GroupClient talks to the members of one Raft group over pooled
-// pipelined connections, following in-protocol StatusNotLeader hints the
-// way the HTTP front follows X-Raft-Leader. Writes are only re-sent when
-// the failure provably happened before any bytes left (a dial error) —
-// the same at-most-once discipline as the HTTP path.
+// pipelined connections, following in-protocol StatusNotLeader hints.
+// Member addresses are indexed by node ID-1, so a hint names the member
+// to try next. Writes (puts and deletes) are only re-sent when the
+// failure provably happened before any bytes left (a dial error): the
+// commands carry no dedup token, so a re-sent write could apply twice.
 type GroupClient struct {
 	pools []*Pool // index = node ID-1
 
@@ -46,8 +47,10 @@ func (gc *GroupClient) Close() {
 }
 
 // Call routes r to the group's current leader: it starts at the cached
-// leader, follows not-leader hints (bounded, loop-detected), and falls
-// back to probing every member — the broadcast analog — before giving up.
+// leader and follows not-leader hints. A hint at a member that already
+// failed or already answered not-leader this call is ignored in favour of
+// the next member, so stale views cannot loop the walk, and the walk
+// gives up after one pass over the members plus two hops.
 func (gc *GroupClient) Call(r *Request) (Response, error) {
 	members := gc.pools
 	gc.mu.Lock()
@@ -77,7 +80,7 @@ func (gc *GroupClient) Call(r *Request) (Response, error) {
 		}
 		resp, err := conn.Call(r)
 		if err != nil {
-			if r.Op == OpPut {
+			if r.Op == OpPut || r.Op == OpDelete {
 				// The request may have reached the server before the
 				// connection died; re-sending could commit it twice.
 				return Response{}, fmt.Errorf("wireclient: write outcome unknown: %w", err)

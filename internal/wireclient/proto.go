@@ -2,10 +2,10 @@
 // path: a length-prefixed (uvarint) framing with request-id demultiplexing
 // so one TCP connection carries many concurrent pipelined requests, a
 // pooled connection layer with write coalescing (requests queued while
-// the writer is busy leave as one batched write), and a sharded client that
-// follows in-protocol leader hints. It replaces HTTP on the hot path: no
-// header parsing, no per-request connection state, and responses may
-// complete out of order.
+// the writer is busy leave as one batched write), and a group client that
+// follows in-protocol leader hints. It is the only client protocol of the
+// nodes and the sharded Front: no header parsing, no per-request
+// connection state, and responses may complete out of order.
 //
 // Frame layout (both directions):
 //
@@ -16,6 +16,7 @@
 //	uvarint reqID | op(1) | flags(1) | body
 //	  OpPut:      uvarint klen | key | uvarint vlen | value
 //	  OpGet:      uvarint klen | key
+//	  OpDelete:   uvarint klen | key
 //	  OpMultiGet: uvarint n | n × (uvarint klen | key)
 //	  OpPing:     empty
 //
@@ -53,6 +54,9 @@ const (
 	OpMultiGet
 	// OpPing measures a protocol round trip without touching the store.
 	OpPing
+	// OpDelete replicates the removal of a key through the owning group's
+	// leader.
+	OpDelete
 )
 
 func (o Op) String() string {
@@ -65,6 +69,8 @@ func (o Op) String() string {
 		return "multiget"
 	case OpPing:
 		return "ping"
+	case OpDelete:
+		return "delete"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}
@@ -79,8 +85,7 @@ const (
 	// StatusNotFound reports an absent key (OpGet only).
 	StatusNotFound
 	// StatusNotLeader redirects: the addressed node is not the group's
-	// leader; the payload carries its best leader hint. This is the
-	// in-protocol counterpart of the HTTP 421 + X-Raft-Leader contract.
+	// leader; the payload carries its best leader hint.
 	StatusNotLeader
 	// StatusErr is any other failure, with a message.
 	StatusErr
@@ -101,9 +106,17 @@ func (s Status) String() string {
 	}
 }
 
-// FlagLocal requests a local (possibly stale) read instead of the default
-// leader lease read.
-const FlagLocal = 1 << 0
+// OpGet read modes. The default is a leader lease read, which falls back
+// to ReadIndex when the lease has lapsed. FlagLocal takes precedence over
+// FlagReadIndex.
+const (
+	// FlagLocal requests a local (possibly stale) read on whichever node
+	// answers.
+	FlagLocal = 1 << 0
+	// FlagReadIndex requests a ReadIndex read: the leader confirms its
+	// authority with a quorum round instead of trusting its lease.
+	FlagReadIndex = 1 << 1
+)
 
 // MaxFrame bounds one protocol frame; it matches the raft wire codec's cap
 // so both serving paths share buffer classes.
@@ -147,7 +160,7 @@ func AppendRequest(buf []byte, r *Request) []byte {
 	case OpPut:
 		body = appendBytes(body, []byte(r.Key))
 		body = appendBytes(body, r.Value)
-	case OpGet:
+	case OpGet, OpDelete:
 		body = appendBytes(body, []byte(r.Key))
 	case OpMultiGet:
 		body = binary.AppendUvarint(body, uint64(len(r.Keys)))
@@ -224,10 +237,10 @@ func DecodeRequest(b []byte) (Request, error) {
 		}
 		r.Key = string(k)
 		r.Value = append([]byte(nil), v...)
-	case OpGet:
+	case OpGet, OpDelete:
 		var k []byte
 		if k, rest, err = takeBytes(rest); err != nil {
-			return r, fmt.Errorf("%w: get key: %v", ErrCorrupt, err)
+			return r, fmt.Errorf("%w: %s key: %v", ErrCorrupt, r.Op, err)
 		}
 		r.Key = string(k)
 	case OpMultiGet:
@@ -267,7 +280,7 @@ func DecodeResponse(b []byte) (Response, error) {
 	r.ID = id
 	r.Op = Op(b[n])
 	r.Status = Status(b[n+1])
-	if r.Op < OpPut || r.Op > OpPing {
+	if r.Op < OpPut || r.Op > OpDelete {
 		return r, fmt.Errorf("%w: bad op %d", ErrCorrupt, b[n])
 	}
 	rest := b[n+2:]

@@ -31,6 +31,8 @@ func TestRequestRoundTrip(t *testing.T) {
 		{ID: 5, Op: OpMultiGet, Keys: []string{}},
 		{ID: 6, Op: OpPing},
 		{ID: 7, Op: OpPut, Key: "binary", Value: []byte{0, 1, 2, 0xff}},
+		{ID: 8, Op: OpGet, Flags: FlagReadIndex, Key: "readindex"},
+		{ID: 9, Op: OpDelete, Key: "gone"},
 	}
 	for i, r := range cases {
 		got := reqRoundTrip(t, r)
@@ -73,6 +75,8 @@ func TestResponseRoundTrip(t *testing.T) {
 			Multi: [][]byte{[]byte("x"), nil, []byte("")},
 			Found: []bool{true, false, true}},
 		{ID: 9, Op: OpPing, Status: StatusOK},
+		{ID: 10, Op: OpDelete, Status: StatusOK},
+		{ID: 11, Op: OpDelete, Status: StatusNotLeader, Leader: 2},
 	}
 	for i, r := range cases {
 		got := respRoundTrip(t, r)
