@@ -20,10 +20,10 @@ type LogCurvePoint struct {
 	Bytes   uint64  `json:"bytes"`
 }
 
-// MigrationBench is one bulk-move measurement: the same scale-out
-// (1 group → 2, fixed resident set) run in one of the two transfer modes.
+// MigrationBench is one bulk-move measurement: a scale-out (1 group → 2,
+// fixed resident set) by snapshot-shipped span chunks.
 type MigrationBench struct {
-	Mode        string  `json:"mode"` // "snapshot-ship" | "key-stream"
+	Mode        string  `json:"mode"` // always "snapshot-ship"
 	Keys        int     `json:"keys"`
 	MovedKeys   int     `json:"moved_keys"`
 	BulkChunks  int     `json:"bulk_chunks"`
@@ -35,8 +35,7 @@ type MigrationBench struct {
 
 // CompactionCurve is the BENCH.json section for the snapshot/compaction
 // subsystem: log growth with and without a retention policy under the
-// same sustained load, plus the snapshot-ship vs key-stream migration
-// comparison.
+// same sustained load, plus one snapshot-ship scale-out.
 type CompactionCurve struct {
 	Policy             []LogCurvePoint  `json:"policy"`
 	Unbounded          []LogCurvePoint  `json:"unbounded"`
@@ -77,15 +76,10 @@ func runLogCurve(policy raft.SnapshotPolicy) []LogCurvePoint {
 // runMigrationBench seeds `keys` keys into a 1-group deployment (via a
 // direct snapshot restore, standing in for a long-lived resident set) and
 // times the live scale-out to 2 groups.
-func runMigrationBench(keys int, keyStream bool) MigrationBench {
-	mode := "snapshot-ship"
-	if keyStream {
-		mode = "key-stream"
-	}
+func runMigrationBench(keys int) MigrationBench {
 	s := shard.New(shard.Options{
 		Groups: 1, NodesPerGroup: 1, Seed: 97,
 		Variant: cluster.VariantRaft(), Profile: stable100(),
-		MigrateKeyStream: keyStream,
 	})
 	fix := kv.NewStore()
 	ents := make([]raft.Entry, 0, keys)
@@ -116,12 +110,12 @@ func runMigrationBench(keys int, keyStream bool) MigrationBench {
 	}
 	rb := s.Rebalances()
 	if len(rb) != 1 || rb[0].Aborted {
-		fmt.Fprintf(os.Stderr, "bench: compaction-curve %s migration did not complete\n", mode)
+		fmt.Fprintln(os.Stderr, "bench: compaction-curve migration did not complete")
 		os.Exit(1)
 	}
 	st := rb[0]
 	return MigrationBench{
-		Mode: mode, Keys: keys, MovedKeys: st.MovedKeys,
+		Mode: "snapshot-ship", Keys: keys, MovedKeys: st.MovedKeys,
 		BulkChunks: st.BulkChunks, DrainRounds: st.DrainRounds, ProposeOps: st.ProposeOps,
 		VirtualMs: st.DoneMs - st.StartMs,
 		WallMs:    float64(time.Since(start)) / float64(time.Millisecond),
@@ -149,12 +143,9 @@ func runCompactionCurve() *CompactionCurve {
 	fmt.Printf("  log growth over %d samples: policy peak %d B, unbounded peak %d B (%.1fx)\n",
 		len(cc.Policy), cc.PolicyPeakBytes, cc.UnboundedPeakBytes,
 		float64(cc.UnboundedPeakBytes)/float64(cc.PolicyPeakBytes))
-	const migrKeys = 40_000
-	for _, keyStream := range []bool{false, true} {
-		mb := runMigrationBench(migrKeys, keyStream)
-		cc.Migrations = append(cc.Migrations, mb)
-		fmt.Printf("  migrate %d keys (%s): moved %d, %d propose ops, %d chunks, %d drain rounds, %.0f virtual ms, %.0f wall ms\n",
-			mb.Keys, mb.Mode, mb.MovedKeys, mb.ProposeOps, mb.BulkChunks, mb.DrainRounds, mb.VirtualMs, mb.WallMs)
-	}
+	mb := runMigrationBench(40_000)
+	cc.Migrations = append(cc.Migrations, mb)
+	fmt.Printf("  migrate %d keys (%s): moved %d, %d propose ops, %d chunks, %d drain rounds, %.0f virtual ms, %.0f wall ms\n",
+		mb.Keys, mb.Mode, mb.MovedKeys, mb.ProposeOps, mb.BulkChunks, mb.DrainRounds, mb.VirtualMs, mb.WallMs)
 	return cc
 }

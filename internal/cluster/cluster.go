@@ -348,10 +348,6 @@ func (c *Cluster) SetOnApply(fn func(raft.ID, []raft.Entry)) { c.onApply = fn }
 // once, for every co-located group.
 func (c *Cluster) Network() *netsim.Network[raft.Message] { return c.net }
 
-// Fabric returns the consolidation fabric this cluster is attached to,
-// or nil for a standalone cluster.
-func (c *Cluster) Fabric() *Fabric { return c.fabric }
-
 // MaxApplied returns the highest applied index across the cluster's
 // nodes — the floor below which no fresh proposal can land (see
 // Inflight.Record).

@@ -21,22 +21,22 @@ import (
 //     register in a per-node consolidated table; the earliest deadline
 //     arms the node's tick, which dispatches every due (group, peer)
 //     timer in deterministic order. Deadlines snap to a coarse grid
-//     (heartbeats to HeartbeatTick, elections to ElectionTick) so
+//     (heartbeats to heartbeatTick, elections to electionTick) so
 //     co-located groups phase-lock: G groups heartbeating at the same
 //     interval collapse to a few grid phases rather than G scattered
 //     wakeups.
 //   - Per-node-pair message batching. Messages bound for the same peer
-//     node within BatchWindow ship as one netsim.Envelope of per-group
+//     node within batchWindow ship as one netsim.Envelope of per-group
 //     payloads and are unbatched on arrival (each payload still pays the
 //     receiver's per-message CPU cost).
 //
-// A Fabric is installed via Options.Fabric; single-group clusters built
+// Every sharded deployment (internal/shard) runs its groups on one
+// Fabric, installed via Options.Fabric. Single-group clusters built
 // without one keep their private mesh and per-timer engine events, so
 // the classic testbed's behavior (and its goldens) is untouched.
 type Fabric struct {
-	eng  *sim.Engine
-	n    int
-	opts FabricOptions
+	eng *sim.Engine
+	n   int
 
 	net *netsim.Network[netsim.Envelope[raft.Message]]
 
@@ -74,63 +74,39 @@ func (f *Fabric) putMsgs(s []netsim.GroupMsg[raft.Message]) {
 	f.pool = append(f.pool, s)
 }
 
-// FabricOptions tune the consolidation. Zero values take the defaults;
-// negative values disable the corresponding mechanism (no quantization /
-// no batching delay beyond same-instant coalescing).
-type FabricOptions struct {
-	// ElectionTick is the election-timer grid. Deadlines round up (an
-	// election timer must never fire early), so the grid only needs to be
-	// small against the 1000–2000 ms randomized timeouts it snaps.
-	ElectionTick time.Duration
-	// HeartbeatTick is the heartbeat-timer grid: with the default grid
-	// equal to the baseline h=100 ms, every group heartbeating at the
-	// default cadence collapses onto a single shared phase, so one tick
-	// per node drives all of them and their wire traffic batches into
-	// one envelope per peer. The grid adapts downward per timer — it
-	// halves until one step is at most a quarter of the timer's lead
-	// time — because a Dynatune-tuned interval can sit far below the
-	// baseline, and parking a tuned ~25 ms heartbeat on a 100 ms grid
-	// would starve the followers' equally-tuned failure detectors and
-	// churn elections. Groups with similar tuned cadences still share
-	// the finer slots.
-	HeartbeatTick time.Duration
-	// BatchWindow is how long an outgoing per-(peer, class) batch
-	// accumulates before it ships as one envelope.
-	BatchWindow time.Duration
-}
-
-// Fabric defaults: the heartbeat grid equals the baseline h=100 ms (one
-// shared phase for every default-tuned group), the election grid is small
-// against the 1000–2000 ms randomized timeouts, and the batch window is
-// two loadgen flush periods — invisible against a WAN RTT, and it folds
-// a request's whole per-group fan-out into one envelope per peer.
+// electionTick is the election-timer grid. Deadlines round up (an
+// election timer must never fire early), so the grid only needs to be
+// small against the 1000–2000 ms randomized timeouts it snaps.
+//
+// heartbeatTick is the heartbeat-timer grid: equal to the baseline
+// h=100 ms, so every group heartbeating at the default cadence collapses
+// onto a single shared phase, one tick per node drives all of them, and
+// their wire traffic batches into one envelope per peer. The grid adapts
+// downward per timer — it halves until one step is at most a quarter of
+// the timer's lead time — because a Dynatune-tuned interval can sit far
+// below the baseline, and parking a tuned ~25 ms heartbeat on a 100 ms
+// grid would starve the followers' equally-tuned failure detectors and
+// churn elections. Groups with similar tuned cadences still share the
+// finer slots.
+//
+// batchWindow is how long an outgoing per-(peer, class) batch
+// accumulates before it ships as one envelope: two loadgen flush periods
+// — invisible against a WAN RTT, and it folds a request's whole
+// per-group fan-out into one envelope per peer.
 const (
-	DefaultElectionTick  = 5 * time.Millisecond
-	DefaultHeartbeatTick = BaselineH
-	DefaultBatchWindow   = 2 * time.Millisecond
+	electionTick  = 5 * time.Millisecond
+	heartbeatTick = BaselineH
+	batchWindow   = 2 * time.Millisecond
 )
-
-func (o FabricOptions) withDefaults() FabricOptions {
-	if o.ElectionTick == 0 {
-		o.ElectionTick = DefaultElectionTick
-	}
-	if o.HeartbeatTick == 0 {
-		o.HeartbeatTick = DefaultHeartbeatTick
-	}
-	if o.BatchWindow == 0 {
-		o.BatchWindow = DefaultBatchWindow
-	}
-	return o
-}
 
 // NewFabric builds the shared transport for a deployment of n physical
 // nodes. Every directed link follows profile (nil Segments take the
 // testbed's default constant profile). Groups attach via Options.Fabric.
-func NewFabric(eng *sim.Engine, n int, profile netsim.Profile, opts FabricOptions) *Fabric {
+func NewFabric(eng *sim.Engine, n int, profile netsim.Profile) *Fabric {
 	if profile.Segments == nil {
 		profile = netsim.Constant(netsim.Params{RTT: 100 * time.Millisecond, Jitter: 2 * time.Millisecond})
 	}
-	f := &Fabric{eng: eng, n: n, opts: opts.withDefaults()}
+	f := &Fabric{eng: eng, n: n}
 	f.net = netsim.New[netsim.Envelope[raft.Message]](eng, n, profile, f.deliverEnvelope)
 	f.nodes = make([]*fabricNode, n)
 	for i := 0; i < n; i++ {
@@ -151,13 +127,6 @@ func NewFabric(eng *sim.Engine, n int, profile netsim.Profile, opts FabricOption
 // Net exposes the shared physical mesh — the fault surface for the whole
 // deployment: one SetDown severs the path for every attached group.
 func (f *Fabric) Net() *netsim.Network[netsim.Envelope[raft.Message]] { return f.net }
-
-// N returns the number of physical nodes.
-func (f *Fabric) N() int { return f.n }
-
-// Groups returns how many groups have attached over the fabric's
-// lifetime (decommissioned groups included — attach UIDs are not reused).
-func (f *Fabric) Groups() int { return len(f.members) }
 
 // LogicalMessages returns the count of raft messages submitted by
 // senders. Divide by the mesh's TotalStats().Sent to get the envelope
@@ -269,10 +238,7 @@ func (nd *fabricNode) flush() {
 }
 
 // send enqueues one logical message into the (peer, class) batch, arming
-// the node's flush on first use in a window. With BatchWindow <= 0 the
-// flush still lands at the current instant *after* the running event
-// cascade, so same-instant sends (a heartbeat sweep, a loadgen flush
-// fanning over groups) coalesce even with no added delay.
+// the node's flush batchWindow out on first use in a window.
 func (nd *fabricNode) send(uid int, cls netsim.Class, m raft.Message) {
 	f := nd.f
 	f.logical++
@@ -284,19 +250,12 @@ func (nd *fabricNode) send(uid int, cls netsim.Class, m raft.Message) {
 	b.msgs = append(b.msgs, netsim.GroupMsg[raft.Message]{Group: uid, Msg: m})
 	if !nd.flushArmed {
 		nd.flushArmed = true
-		w := f.opts.BatchWindow
-		if w < 0 {
-			w = 0
-		}
-		f.eng.Schedule(f.eng.Now()+w, nd.flushFn)
+		f.eng.Schedule(f.eng.Now()+batchWindow, nd.flushFn)
 	}
 }
 
 // quantizeCeil snaps at up to the next grid point (never earlier).
 func quantizeCeil(at, tick time.Duration) time.Duration {
-	if tick <= 0 {
-		return at
-	}
 	if r := at % tick; r != 0 {
 		at += tick - r
 	}
@@ -312,7 +271,7 @@ func (nd *fabricNode) setTimer(rt *nodeRT, kind raft.TimerKind, peer raft.ID, at
 	now := f.eng.Now()
 	switch kind {
 	case raft.TimerElection:
-		at = quantizeCeil(at, f.opts.ElectionTick)
+		at = quantizeCeil(at, electionTick)
 	case raft.TimerHeartbeat:
 		// Round up onto the coarsest grid whose one-step delay stays
 		// small (≤ 1/4) against the timer's lead time. Any interval that
@@ -322,7 +281,7 @@ func (nd *fabricNode) setTimer(rt *nodeRT, kind raft.TimerKind, peer raft.ID, at
 		// tuned ~25 ms heartbeat lands on a proportionally finer grid
 		// instead of being parked 4 intervals out past its failure
 		// detectors.
-		grid := f.opts.HeartbeatTick
+		grid := heartbeatTick
 		for delta := at - now; grid > time.Millisecond && grid*4 > delta; {
 			grid >>= 1
 		}

@@ -114,9 +114,6 @@ func (w *Window) Max() float64 {
 	return max
 }
 
-// Cap returns the window capacity.
-func (w *Window) Cap() int { return len(w.buf) }
-
 // Mean returns the mean of held samples (0 when empty).
 func (w *Window) Mean() float64 {
 	if w.n == 0 {

@@ -37,8 +37,6 @@ type Config struct {
 	// DisableCheckQuorum turns off leader self-demotion without quorum
 	// contact (on by default, as in etcd).
 	DisableCheckQuorum bool
-	// MaxEntriesPerApp caps entries per MsgApp (default 64).
-	MaxEntriesPerApp int
 
 	// SuppressHeartbeatWhileReplicating implements the first future-work
 	// optimization of the paper's §IV-E: replication traffic doubles as
@@ -196,9 +194,6 @@ type Node struct {
 func NewNode(cfg Config) (*Node, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if cfg.MaxEntriesPerApp <= 0 {
-		cfg.MaxEntriesPerApp = 64
 	}
 	n := &Node{
 		cfg:      cfg,

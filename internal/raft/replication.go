@@ -60,6 +60,9 @@ func (n *Node) broadcastAppend() {
 	}
 }
 
+// maxEntriesPerApp caps the entries one MsgApp carries.
+const maxEntriesPerApp = 64
+
 // sendAppend ships the next batch of entries to peer (or an empty probe
 // carrying commit if the peer is caught up). If the tail the peer needs
 // was compacted away, a snapshot is shipped instead (Raft §7).
@@ -82,7 +85,7 @@ func (n *Node) sendAppend(peer ID) {
 	if !ok {
 		return
 	}
-	entries, _ := n.log.Slice(pr.next, n.log.LastIndex(), n.cfg.MaxEntriesPerApp)
+	entries, _ := n.log.Slice(pr.next, n.log.LastIndex(), maxEntriesPerApp)
 	n.send(Message{
 		Type:    MsgApp,
 		To:      peer,
@@ -433,15 +436,6 @@ func (n *Node) CompactLog(keepLast uint64) {
 	if limit > n.log.FirstIndex() {
 		n.log.CompactTo(limit)
 	}
-}
-
-// LeaderMatch returns the leader's match index for peer (testing/metrics).
-func (n *Node) LeaderMatch(peer ID) (uint64, bool) {
-	pr, ok := n.prs[peer]
-	if !ok {
-		return 0, false
-	}
-	return pr.match, true
 }
 
 // TimeSinceLeaderContact reports how long ago the node last heard from a

@@ -74,8 +74,7 @@ type MultiCluster interface {
 	Rebalances() []RebalanceStats
 	// PhysLinks returns the consolidated deployment's shared physical
 	// mesh — the fault surface for link-level kinds in sharded runs: one
-	// cut affects every group riding the link. Nil when the deployment
-	// runs per-group meshes (link faults are then unsupported).
+	// cut affects every group riding the link.
 	PhysLinks() *netsim.Network[netsim.Envelope[raft.Message]]
 
 	// Group-addressed fault surface: the *-node kinds carrying a Group
@@ -163,13 +162,11 @@ type RebalanceStats struct {
 	// pre-fence writes were still landing during the first copy).
 	DrainRounds int
 	// BulkChunks counts span chunks replicated by the snapshot-shipped
-	// bulk phase (0 under key-stream migration, where every key is its
-	// own command).
+	// bulk phase.
 	BulkChunks int
 	// ProposeOps counts replicated commands the migration proposed in
-	// total — span installs, per-key copies, cleanup deletes and barriers.
-	// The snapshot-ship vs key-stream comparison is this number: the bulk
-	// phase turns O(moved keys) proposes into O(chunks).
+	// total — span installs, per-key delta copies, cleanup deletes and
+	// barriers. The bulk phase keeps it O(chunks), not O(moved keys).
 	ProposeOps int
 	// ProposeErrors counts migration proposes that failed (no leader, or
 	// an error reported by the propose callback). Failed batches are not

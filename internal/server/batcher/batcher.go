@@ -43,7 +43,7 @@ const (
 	FlushOps
 	// FlushBytes: the byte cap filled.
 	FlushBytes
-	// FlushDrain: the batcher is shutting down or aborting.
+	// FlushDrain: Drain closed the batcher with ops still queued.
 	FlushDrain
 )
 
@@ -83,9 +83,8 @@ type Config struct {
 	// called WITHOUT the batcher lock, once per forming batch, by the Add
 	// that opened it; it must not block.
 	Schedule func()
-	// Flush receives each batch a cap cuts early (from the Add that
-	// filled it) or Drain(nil) forces out. It is called WITHOUT the
-	// batcher lock.
+	// Flush receives each batch a cap cuts early, from the Add that
+	// filled it. It is called WITHOUT the batcher lock.
 	Flush func(ops []Op, reason FlushReason)
 }
 
@@ -220,31 +219,21 @@ func (b *Batcher) note(ops []Op, reason FlushReason) {
 	}
 }
 
-// Drain flushes whatever is queued and, when err is non-nil, closes the
-// batcher: queued ops resolve with err instead of flushing, and later
-// Adds resolve immediately with err. Drain with err == nil just forces
-// the pending batch out (a barrier, not a shutdown).
+// Drain closes the batcher for shutdown: queued ops resolve with err
+// instead of flushing, and later Adds resolve immediately with err. err
+// must be non-nil.
 func (b *Batcher) Drain(err error) {
 	b.mu.Lock()
 	ops := b.take()
-	if err != nil {
-		b.closed = true
-		b.closedErr = err
-	}
+	b.closed = true
+	b.closedErr = err
 	if len(ops) > 0 {
 		b.note(ops, FlushDrain)
 	}
 	b.mu.Unlock()
-	if len(ops) == 0 {
-		return
+	for _, op := range ops {
+		op.W.Resolve(err)
 	}
-	if err != nil {
-		for _, op := range ops {
-			op.W.Resolve(err)
-		}
-		return
-	}
-	b.cfg.Flush(ops, FlushDrain)
 }
 
 // Stats snapshots the counters.

@@ -129,10 +129,6 @@ func TestOpsCapFlushesEarly(t *testing.T) {
 	if n := asks.Load(); n != 3 {
 		t.Fatalf("cut requests = %d, want 3", n)
 	}
-	b.Drain(nil)
-	if d := rec.depths(); len(d) != 3 || d[2] != 1 || rec.reasons[2] != FlushDrain {
-		t.Fatalf("drain batch depths %v reasons %v", d, rec.reasons)
-	}
 }
 
 func TestBytesCapFlushesEarly(t *testing.T) {
@@ -206,7 +202,6 @@ func TestConcurrentAddAccountsEveryOp(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	b.Drain(nil)
 	if got := flushed.Load(); got != gs*per {
 		t.Fatalf("flushed %d ops, want %d", got, gs*per)
 	}

@@ -57,12 +57,9 @@ type Config struct {
 	// advances. A fixed window would cost about 1 ms, not its nominal
 	// 200 µs, because Go sleeps sub-millisecond timers in epoll_wait with
 	// a 1 ms timeout.
+	// A batch that reaches batcher.DefaultMaxOps ops or
+	// batcher.DefaultMaxBytes bytes is proposed at once.
 	BatchWindow time.Duration
-	// BatchMaxOps / BatchMaxBytes cut a batch at once when it fills
-	// (defaults batcher.DefaultMaxOps / DefaultMaxBytes). Only used when
-	// BatchWindow > 0.
-	BatchMaxOps   int
-	BatchMaxBytes int
 	// Persister, when set, makes the node's term/vote/log durable
 	// (typically a *storage.WAL); Restored resumes from a previous run's
 	// recovered state. Both nil for a volatile node.
@@ -155,8 +152,6 @@ func Start(cfg Config) (*Server, error) {
 	s.dtimer.Stop()
 	if cfg.BatchWindow > 0 {
 		s.bat = batcher.New(batcher.Config{
-			MaxOps:   cfg.BatchMaxOps,
-			MaxBytes: cfg.BatchMaxBytes,
 			Schedule: func() { s.exec(s.cutBatch) },
 			Flush: func(ops []batcher.Op, _ batcher.FlushReason) {
 				s.exec(func() { s.proposeOps(ops) })

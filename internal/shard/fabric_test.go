@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"dynatune/internal/cluster"
+	"dynatune/internal/netsim"
 	"dynatune/internal/raft"
 	"dynatune/internal/workload"
 )
@@ -79,14 +81,41 @@ func TestConsolidatedMessageReductionAtG16(t *testing.T) {
 	if lg.TotalCompleted() == 0 {
 		t.Fatal("load generator completed nothing")
 	}
+}
 
-	// The per-group-mesh build has no shared fabric to account for.
-	legacy := New(Options{Groups: 16, NodesPerGroup: 3, Seed: 7, Profile: fastProfile(), PerGroupMesh: true})
-	if l, w := legacy.WireStats(); l != 0 || w != 0 {
-		t.Fatalf("PerGroupMesh WireStats() = (%d, %d), want zeros", l, w)
+// TestGroupsCurveG64WireBudget pins the G=64 point of dynabench's
+// groups curve (runGroupsRamp in cmd/dynabench): the same seed, profile
+// and open-loop ramp must complete at least as many requests, on no more
+// envelopes, as the counts recorded in BENCH.json. The run is
+// deterministic, so any drift is a behaviour change in the consolidated
+// transport, not noise.
+func TestGroupsCurveG64WireBudget(t *testing.T) {
+	const (
+		minCompleted = 47_180
+		maxWire      = 19_706
+	)
+	s := New(Options{
+		Groups: 64, NodesPerGroup: 3, Seed: 77, Variant: cluster.VariantRaft(),
+		Profile: netsim.Constant(netsim.Params{RTT: 100 * time.Millisecond, Jitter: 2 * time.Millisecond}),
+	})
+	ramp := workload.Ramp{StartRPS: 8000, StepRPS: 0, StepDuration: 2 * time.Second, Steps: 3}
+	lg := NewLoadGen(s, ramp, LoadOptions{Keys: 4096})
+	s.Start()
+	if !s.WaitLeaders(30 * time.Second) {
+		t.Fatal("no leaders")
 	}
-	if legacy.PhysLinks() != nil {
-		t.Fatal("PerGroupMesh PhysLinks() non-nil")
+	s.Run(time.Second)
+	lg.Start()
+	s.Run(ramp.Duration() + 3*time.Second)
+
+	completed := lg.TotalCompleted()
+	logical, wire := s.WireStats()
+	t.Logf("G=64: completed %d, msgs %d logical -> %d wire", completed, logical, wire)
+	if completed < minCompleted {
+		t.Fatalf("completed %d requests, want >= %d", completed, minCompleted)
+	}
+	if wire > maxWire {
+		t.Fatalf("%d wire messages, want <= %d", wire, maxWire)
 	}
 }
 

@@ -135,8 +135,8 @@ func (c Campaign) Cells() ([]Cell, error) {
 		for i, ax := range c.Axes {
 			v := ax.Values[idx[i]]
 			cell.Values[i] = v
-			def, _ := axisDef(ax.Name)
-			if err := def.apply(&cell.Spec, v); err != nil {
+			apply, _ := axisDef(ax.Name)
+			if err := apply(&cell.Spec, v); err != nil {
 				return nil, fmt.Errorf("sweep: cell %s: %w", cell.Key(c.Axes), err)
 			}
 		}

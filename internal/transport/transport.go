@@ -277,9 +277,9 @@ func (oc *outConn) enqueueLocked(t *Transport, m raft.Message) {
 
 // writeLoop owns the peer's socket: it dials with capped exponential
 // backoff, drains the queue in bursts (one Flush per burst, not per
-// frame), and on a write error requeues the unsent tail for the next
-// connection. It exits when the outConn is closed or the transport
-// shuts down.
+// frame), and on a write error requeues the burst for the next
+// connection. A message too large to frame is dropped on its own. It
+// exits when the outConn is closed or the transport shuts down.
 func (oc *outConn) writeLoop(t *Transport) {
 	defer t.wg.Done()
 	fails := 0
@@ -330,10 +330,20 @@ func (oc *outConn) writeLoop(t *Transport) {
 		oc.mu.Unlock()
 
 		var werr error
-		for _, m := range burst {
-			if werr = wire.WriteFrame(w, m); werr != nil {
+		for i := 0; i < len(burst); {
+			werr = wire.WriteFrame(w, burst[i])
+			if errors.Is(werr, wire.ErrFrameTooLarge) {
+				// Nothing of it was written and no connection can carry
+				// it: drop it alone and keep the socket and the burst.
+				t.drop(burst[i], "frame exceeds MaxFrame")
+				burst = append(burst[:i], burst[i+1:]...)
+				werr = nil
+				continue
+			}
+			if werr != nil {
 				break
 			}
+			i++
 		}
 		if werr == nil {
 			werr = w.Flush()

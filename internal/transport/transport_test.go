@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dynatune/internal/raft"
+	"dynatune/internal/wire"
 )
 
 // pairUp starts two transports wired to each other on loopback ephemeral
@@ -58,6 +59,22 @@ func TestTCPDelivery(t *testing.T) {
 	got := recvOne(t, in2)
 	if got.Type != raft.MsgApp || got.Term != 5 || len(got.Entries) != 1 || string(got.Entries[0].Data) != "payload" {
 		t.Fatalf("got %+v", got)
+	}
+}
+
+// A message too large to frame must be dropped on its own: the peer's
+// queue keeps flowing, so the small MsgApp queued behind it arrives.
+func TestOversizedFrameDoesNotWedgeQueue(t *testing.T) {
+	t1, _, _, in2 := pairUp(t)
+	t1.Send(raft.Message{Type: raft.MsgSnap, From: 1, To: 2, Term: 3, Snap: make([]byte, wire.MaxFrame+1)})
+	t1.Send(raft.Message{Type: raft.MsgApp, From: 1, To: 2, Term: 3, Index: 7})
+	select {
+	case got := <-in2:
+		if got.Type != raft.MsgApp || got.Index != 7 {
+			t.Fatalf("got %v index %d, want the MsgApp at index 7", got.Type, got.Index)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("MsgApp queued behind an oversized frame never arrived")
 	}
 }
 

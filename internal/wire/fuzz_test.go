@@ -45,8 +45,8 @@ func TestFrameSizeBoundaries(t *testing.T) {
 	}
 	// One past the cap must be rejected at write time.
 	over := raft.Message{Type: raft.MsgSnap, From: 1, To: 2, Snap: make([]byte, MaxFrame)}
-	if err := WriteFrame(io.Discard, over); err == nil {
-		t.Fatal("WriteFrame accepted an over-MaxFrame message")
+	if err := WriteFrame(io.Discard, over); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("WriteFrame(over-MaxFrame message) = %v, want ErrFrameTooLarge", err)
 	}
 }
 

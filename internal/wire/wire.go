@@ -20,6 +20,10 @@ const MaxFrame = 64 << 20
 // ErrCorrupt reports an undecodable message.
 var ErrCorrupt = errors.New("wire: corrupt message")
 
+// ErrFrameTooLarge is returned by WriteFrame for a message whose encoding
+// exceeds MaxFrame. Nothing is written, and no connection can carry it.
+var ErrFrameTooLarge = errors.New("wire: frame exceeds MaxFrame")
+
 const headerLen = 1 + 8 + 8 + 8 + 8 + 8 + 8 + 1 + 8 + // type..hint
 	8 + 8 + 8 + // heartbeat meta
 	8 + 8 + // heartbeat resp meta
@@ -186,7 +190,7 @@ func decodeIDs(b []byte) ([]raft.ID, []byte, error) {
 func WriteFrame(w io.Writer, m raft.Message) error {
 	payload := Encode(m)
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("wire: frame %d exceeds max %d", len(payload), MaxFrame)
+		return fmt.Errorf("%w: %d > %d bytes", ErrFrameTooLarge, len(payload), MaxFrame)
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))

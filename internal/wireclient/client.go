@@ -193,15 +193,6 @@ func (c *Client) MultiGet(keys []string) (vals [][]byte, found []bool, err error
 	return resp.Multi, resp.Found, nil
 }
 
-// Ping round-trips the protocol.
-func (c *Client) Ping() error {
-	resp, err := c.Call(&Request{Op: OpPing})
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
-}
-
 // respErr converts a non-OK/non-NotFound response into an error.
 func respErr(r Response) error {
 	switch r.Status {
