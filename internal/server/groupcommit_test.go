@@ -12,18 +12,12 @@ import (
 	"dynatune/internal/transport"
 )
 
-// startBatchCluster boots n servers with group commit enabled.
-func startBatchCluster(tb testing.TB, n int, window time.Duration) []*Server {
-	tb.Helper()
-	return startClusterWith(tb, n, func(c *Config) { c.BatchWindow = window })
-}
-
-// TestGroupCommitCoalesces drives many concurrent writers at a batching
-// leader and checks the tentpole invariant: raft entries proposed stays
-// well below client commands accepted, with nothing lost or reordered
-// past the idempotence table.
+// TestGroupCommitCoalesces drives many concurrent writers at a leader
+// booted on the default Config and checks that it group-commits: raft
+// entries proposed stay well below client commands accepted, with
+// nothing lost or reordered past the idempotence table.
 func TestGroupCommitCoalesces(t *testing.T) {
-	srvs := startBatchCluster(t, 3, time.Millisecond)
+	srvs := startClusterWith(t, 3, func(*Config) {})
 	lead := waitLeader(t, srvs, 10*time.Second)
 
 	const writers, per = 16, 25
@@ -71,13 +65,13 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestBatchAbortOnLeaderChange blackholes a batching leader's outbound
+// TestBatchAbortOnLeaderChange blackholes a leader's outbound
 // replication so its in-flight batch can never commit, and requires that
 // the leadership change fails every waiter promptly — no request rides
 // out the full ProposeTimeout — and that client retries through the new
 // leader converge without double-applying.
 func TestBatchAbortOnLeaderChange(t *testing.T) {
-	srvs := startBatchCluster(t, 3, time.Millisecond)
+	srvs := startClusterWith(t, 3, func(*Config) {})
 	lead := waitLeader(t, srvs, 10*time.Second)
 
 	// Blackhole leader → followers: its appends vanish, while follower →
@@ -173,7 +167,6 @@ func TestBatchAbortOnLeaderChange(t *testing.T) {
 func TestHeldBatchBoundedByProposeTimeout(t *testing.T) {
 	const timeout = 300 * time.Millisecond
 	srvs := startClusterWith(t, 3, func(c *Config) {
-		c.BatchWindow = time.Millisecond
 		c.ProposeTimeout = timeout
 		c.Tuner = raft.NewStaticTuner(2*time.Second, 50*time.Millisecond)
 	})

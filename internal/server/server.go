@@ -47,18 +47,8 @@ type Config struct {
 	// ProposeTimeout bounds how long a PUT waits for commit, counted
 	// from its Propose call (default 5s).
 	ProposeTimeout time.Duration
-	// BatchWindow > 0 enables server-side group commit on the propose
-	// path: concurrent commands coalesce into ONE multi-op raft entry
-	// (kv.OpBatch), cutting per-entry replication cost under load. Zero
-	// disables batching — every Propose is its own entry. The value is
-	// only a switch: load, not a timer, sets the batch size. An idle
-	// leader proposes a command at once; a leader whose previous entry is
-	// still uncommitted holds the forming batch until the commit index
-	// advances. A fixed window would cost about 1 ms, not its nominal
-	// 200 µs, because Go sleeps sub-millisecond timers in epoll_wait with
-	// a 1 ms timeout.
-	// A batch that reaches batcher.DefaultMaxOps ops or
-	// batcher.DefaultMaxBytes bytes is proposed at once.
+	// BatchWindow is ignored: every server group-commits. It remains
+	// only because the benchmark module under realbench/ sets it.
 	BatchWindow time.Duration
 	// Persister, when set, makes the node's term/vote/log durable
 	// (typically a *storage.WAL); Restored resumes from a previous run's
@@ -86,7 +76,11 @@ type Server struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// bat, when non-nil, group-commits Propose calls (Config.BatchWindow).
+	// bat group-commits Propose calls: concurrent commands coalesce into
+	// one multi-op raft entry (kv.OpBatch). Load, not a timer, sets the
+	// batch size (see cutBatch); a batch that reaches
+	// batcher.DefaultMaxOps ops or batcher.DefaultMaxBytes bytes is
+	// proposed at once.
 	bat *batcher.Batcher
 	// errProposeTO / errReadTO are the preallocated timeout errors the
 	// deadline heap delivers — no per-request error or timer allocation.
@@ -150,14 +144,14 @@ func Start(cfg Config) (*Server, error) {
 	}
 	s.dtimer = time.AfterFunc(time.Hour, func() { s.exec(s.sweepDeadlines) })
 	s.dtimer.Stop()
-	if cfg.BatchWindow > 0 {
-		s.bat = batcher.New(batcher.Config{
-			Schedule: func() { s.exec(s.cutBatch) },
-			Flush: func(ops []batcher.Op, _ batcher.FlushReason) {
-				s.exec(func() { s.proposeOps(ops) })
-			},
-		})
-	}
+	// Bind the cut once: a method value allocates each time it is made.
+	cut := s.cutBatch
+	s.bat = batcher.New(batcher.Config{
+		Schedule: func() { s.exec(cut) },
+		Flush: func(ops []batcher.Op, _ batcher.FlushReason) {
+			s.exec(func() { s.proposeOps(ops) })
+		},
+	})
 
 	tr, err := transport.Start(transport.Config{
 		ID:      cfg.ID,
@@ -342,8 +336,8 @@ func (s *Server) releaseHold() {
 
 // proposeOps replicates a finished batch as one raft entry (loop
 // goroutine). A single op skips the OpBatch wrapper entirely, so an idle
-// server's entries are byte-identical to the unbatched build and the
-// amplification counters stay honest.
+// server proposes each command as a plain entry and the amplification
+// counters stay honest.
 func (s *Server) proposeOps(ops []batcher.Op) {
 	var data []byte
 	switch len(ops) {
@@ -475,7 +469,8 @@ type BatchStats struct {
 	batcher.Stats
 	// ClientOps counts commands accepted into the propose path; Entries
 	// counts raft entries proposed for them. Their ratio is the propose
-	// amplification — 1.0 unbatched, pushed below 1 by group commit.
+	// amplification: 1.0 when every batch holds one command, below 1 once
+	// load coalesces commands.
 	ClientOps uint64 `json:"client_ops"`
 	Entries   uint64 `json:"entries"`
 }
@@ -490,27 +485,18 @@ func (b BatchStats) ProposeAmp() float64 {
 
 // BatchStats snapshots the group-commit counters.
 func (s *Server) BatchStats() BatchStats {
-	st := BatchStats{ClientOps: s.clientOps.Load(), Entries: s.entries.Load()}
-	if s.bat != nil {
-		st.Stats = s.bat.Stats()
-	}
-	return st
+	return BatchStats{Stats: s.bat.Stats(), ClientOps: s.clientOps.Load(), Entries: s.entries.Load()}
 }
 
 // errShutdown is what in-flight requests see when Stop wins the race.
 var errShutdown = errors.New("server: shut down")
 
-// Propose replicates a command and waits for it to commit locally. With
-// BatchWindow set it joins the forming group-commit batch; either way the
-// timeout comes from the shared deadline heap, not a per-call timer.
+// Propose replicates a command and waits for it to commit locally. It
+// joins the forming group-commit batch; the timeout comes from the shared
+// deadline heap, not a per-call timer.
 func (s *Server) Propose(cmd kv.Command) error {
-	op := batcher.Op{Cmd: cmd, W: batcher.NewWaiter(), Deadline: time.Now().Add(s.cfg.ProposeTimeout)}
-	w := op.W
-	if s.bat != nil {
-		s.bat.Add(op)
-	} else {
-		s.exec(func() { s.proposeOps([]batcher.Op{op}) })
-	}
+	w := batcher.NewWaiter()
+	s.bat.Add(batcher.Op{Cmd: cmd, W: w, Deadline: time.Now().Add(s.cfg.ProposeTimeout)})
 	select {
 	case err := <-w.C():
 		return err
@@ -638,11 +624,9 @@ func (s *Server) Stop() {
 		if s.bsrv != nil {
 			s.bsrv.close() // graceful: drains in-flight binary requests
 		}
-		if s.bat != nil {
-			// Close the batcher: queued and future Adds fail fast instead
-			// of waiting for a cut the stopped loop will never make.
-			s.bat.Drain(errShutdown)
-		}
+		// Close the batcher: queued and future Adds fail fast instead of
+		// waiting for a cut the stopped loop will never make.
+		s.bat.Drain(errShutdown)
 		close(s.done)
 		if s.hsrv != nil {
 			s.hsrv.Close()
